@@ -100,6 +100,8 @@ int main() {
   config.cache_root = workspace.dir() + "/cache";
   config.engine.default_database = "db";
   config.predictor.epochs = 6;
+  // The no-cache baseline models Spark+Jackson, as in the paper's figures.
+  config.engine.enable_ondemand = false;
   MaxsonSession session(&catalog, config);
 
   const std::vector<std::string> daily_queries = {

@@ -103,6 +103,8 @@ int main() {
   config.cache_root = workspace.dir() + "/cache";
   config.engine.default_database = "bench";
   config.predictor.epochs = 6;
+  // Uncached paths parse as in the paper's Spark+Jackson baseline.
+  config.engine.enable_ondemand = false;
   MaxsonSession session(&catalog, config);
 
   // History: each Table II query runs twice daily for two weeks (every

@@ -48,6 +48,8 @@ int main() {
   config.cache_root = workspace.dir() + "/cache";
   config.engine.default_database = "bench";
   config.predictor.epochs = 6;
+  // The Spark side is the paper's Spark+Jackson: one DOM parse per call.
+  config.engine.enable_ondemand = false;
   MaxsonSession session(&catalog, config);
   for (int day = 0; day < 14; ++day) {
     for (const BenchmarkQuery& q : queries) {

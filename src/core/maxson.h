@@ -75,9 +75,10 @@ struct SessionUpdate {
   std::optional<bool> tracing;
   /// Toggles the Sparser-style raw-byte prefilter.
   std::optional<bool> raw_filter;
-  /// Toggles the on-demand JSON parsing tier: selective path sets resolve
-  /// by cursoring the SIMD structural tape instead of a full DOM parse
-  /// (see json/ondemand_parser.h). Results are byte-identical either way.
+  /// Toggles the on-demand JSON parsing tier (default on): paths resolve
+  /// by cursoring a validated SIMD structural tape instead of a full DOM
+  /// parse per call (see json/ondemand_parser.h). Results are
+  /// byte-identical either way.
   std::optional<bool> ondemand;
   /// Cache budget (bytes) of the next midnight cycle (0 = cache nothing,
   /// the Fig. 11 zero-budget baseline).
@@ -122,7 +123,7 @@ struct SessionStats {
   /// Canonical armed fault-injection spec, or "off".
   std::string fault_injection;
   /// On-demand parsing tier knob (see json/ondemand_parser.h).
-  bool ondemand_enabled = false;
+  bool ondemand_enabled = true;
   /// Shared-scan knobs and lifetime totals (see exec/shared_scan.h; the
   /// totals are scheduling counters, not deterministic query outcomes).
   bool shared_scan_enabled = false;

@@ -119,9 +119,9 @@ void QueryEngine::RegisterBuiltinFunctions() {
       if (config_.enable_ondemand && ctx.ondemand != nullptr) {
         const uint64_t skipped_before = ctx.ondemand->skipped_bytes();
         Result<std::string> ondemand = ctx.ondemand->Extract(text, *path);
-        // NotFound is a definitive answer (the differential tests prove the
-        // tiers agree on missing paths); only structural failures re-parse
-        // through the DOM tier so results stay byte-identical either way.
+        // The tier returns exactly what the DOM would; a record its
+        // validator rejects still re-parses through the DOM tier, which
+        // stays the reference on every error.
         if (ondemand.ok() ||
             ondemand.status().code() == StatusCode::kNotFound) {
           if (ctx.metrics != nullptr) {
@@ -530,7 +530,9 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   // under mison_mutex_.
   json::MisonParser query_mison;
   // The on-demand parser is likewise query-local; the builtin gates on the
-  // enable_ondemand knob, so wiring it unconditionally costs nothing.
+  // enable_ondemand knob, so wiring it unconditionally costs nothing. Its
+  // memo holds one record, which is what lets a row's get_json_object
+  // calls share one tape: rows are evaluated one at a time.
   json::OndemandParser query_ondemand;
   EvalContext ctx;
   ctx.lookup_function = &LookupEngineFunction;

@@ -43,13 +43,15 @@ struct EngineConfig {
   bool enable_raw_filter = false;
   /// On-demand parsing tier (json/ondemand_parser.h): under the kDom
   /// backend, uncached get_json_object extraction and the corruption
-  /// re-derive path resolve selective path sets by cursoring a SIMD
-  /// structural tape instead of materializing the whole DOM, falling back
-  /// to the DOM parser per record on any on-demand error. Results are
-  /// byte-identical on well-formed data; see DESIGN.md, "On-demand parsing
-  /// tier" for the skipped-subtree validation contract that makes this
-  /// opt-in.
-  bool enable_ondemand = false;
+  /// re-derive path resolve paths by cursoring a SIMD structural tape
+  /// instead of materializing the whole DOM. The tape of a row's record is
+  /// built once and shared by the row's get_json_object calls. Every tape
+  /// build validates the record with the DOM parser's own grammar, so
+  /// results are byte-identical to DOM on every input; a record it rejects
+  /// falls back to the DOM parser. Off (`set ondemand off`) is the
+  /// Spark+Jackson reference path: one full DOM parse per call. See
+  /// DESIGN.md, "On-demand parsing tier".
+  bool enable_ondemand = true;
   /// Parallelism degree of query execution (the paper's splits-across-
   /// executors model, in process): splits are scanned and row chunks are
   /// evaluated on this many threads. 0 = hardware concurrency; 1 runs

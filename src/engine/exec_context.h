@@ -37,9 +37,9 @@ struct ExecContext {
   /// Target rows per morsel for shared scans; 0 = one morsel per split
   /// (the paper's one-file-one-split granularity).
   size_t morsel_rows = 0;
-  /// Route uncached JSON extraction (selective path sets only) through the
-  /// on-demand parsing tier; set from EngineConfig::enable_ondemand.
-  bool enable_ondemand = false;
+  /// Route uncached JSON extraction through the on-demand parsing tier;
+  /// set from EngineConfig::enable_ondemand.
+  bool enable_ondemand = true;
   /// Cooperative cancellation: checked between splits/morsels and between
   /// operators, never mid-pass. Null = uncancellable.
   const std::atomic<bool>* cancel = nullptr;

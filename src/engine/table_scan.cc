@@ -70,17 +70,11 @@ SearchArgument ReconcileSargWithSchema(const SearchArgument& sarg,
 struct ScanSpec {
   std::vector<std::string> raw_columns;
   std::vector<CacheColumnRequest> cache_columns;
-  /// Route selective JSON re-derivation (kOndemandMaxPaths or fewer paths
-  /// per source column) through the on-demand parsing tier; copied from
+  /// Re-derive JSON columns through the on-demand parsing tier rather
+  /// than one DOM parse per record; copied from
   /// ExecContext::enable_ondemand.
-  bool enable_ondemand = false;
+  bool enable_ondemand = true;
 };
-
-/// A path set counts as selective — worth tape-cursoring instead of one
-/// full DOM parse — up to this many JSONPaths per source column. Beyond it
-/// the DOM parse amortizes better across paths (the Fig. 15 crossover;
-/// measured in bench/fig15_parsers.cc).
-constexpr size_t kOndemandMaxPaths = 4;
 
 ScanSpec SpecFromScan(const ScanNode& scan) {
   ScanSpec spec;
@@ -375,33 +369,28 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
     raw_sargs.push_back(ReconcileSargWithSchema(p.first, primary.schema()));
   }
 
-  // Group the JSON-path sources by source column: a selective group
-  // (1..kOndemandMaxPaths paths) re-derives through the on-demand tier
-  // with one tape pass per record instead of one DOM parse per path.
-  // Oversized groups, and XML sources, stay on the DOM tier.
-  struct OndemandGroup {
+  // Group the JSON-path sources by source column, so each record is
+  // parsed once per column however many paths derive from it: one tape
+  // pass (ExtractAll), or with the tier off or on its error, one DOM parse.
+  // XML sources stay on GetXmlObject, one parse per path.
+  struct JsonGroup {
     size_t slot = 0;                 // batch slot of the source column
     std::vector<size_t> source_idx;  // indexes into `sources`
     std::vector<json::JsonPath> paths;
   };
-  std::vector<OndemandGroup> ondemand_groups;
-  if (spec.enable_ondemand) {
-    std::map<int, size_t> group_of;  // file column index -> group index
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (sources[i].is_xml) continue;
-      auto [it, inserted] =
-          group_of.emplace(sources[i].column, ondemand_groups.size());
-      if (inserted) {
-        OndemandGroup g;
-        g.slot = slot_of.at(sources[i].column);
-        ondemand_groups.push_back(std::move(g));
-      }
-      ondemand_groups[it->second].source_idx.push_back(i);
-      ondemand_groups[it->second].paths.push_back(sources[i].json_path);
+  std::vector<JsonGroup> json_groups;
+  std::map<int, size_t> group_of;  // file column index -> group index
+  for (size_t i = 0; i < sources.size(); ++i) {
+    if (sources[i].is_xml) continue;
+    auto [it, inserted] =
+        group_of.emplace(sources[i].column, json_groups.size());
+    if (inserted) {
+      JsonGroup g;
+      g.slot = slot_of.at(sources[i].column);
+      json_groups.push_back(std::move(g));
     }
-    std::erase_if(ondemand_groups, [](const OndemandGroup& g) {
-      return g.paths.size() > kOndemandMaxPaths;
-    });
+    json_groups[it->second].source_idx.push_back(i);
+    json_groups[it->second].paths.push_back(sources[i].json_path);
   }
   json::OndemandParser ondemand;
 
@@ -428,61 +417,56 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
       for (size_t c = 0; c < raw_indexes.size(); ++c) {
         row.push_back(batch.column(c).GetValue(r));
       }
-      // On-demand precomputation: one tape pass per record per selective
-      // group. Any record-level error falls back to the DOM tier below
-      // (slots stay unset); per-slot errors likewise fall back per slot,
-      // so the combined rows are byte-identical with the tier off.
-      std::vector<std::optional<storage::Value>> precomputed(sources.size());
-      for (const OndemandGroup& g : ondemand_groups) {
+      // JSON columns: one parse per record per source column. A record
+      // neither tier accepts gives NULL in every path, as get_json_object.
+      std::vector<storage::Value> derived(sources.size());
+      for (const JsonGroup& g : json_groups) {
         if (batch.column(g.slot).IsNull(r)) continue;
         const std::string& text = batch.column(g.slot).GetString(r);
         std::vector<Result<std::string>> values;
-        const uint64_t skipped_before = ondemand.skipped_bytes();
-        const Status extract_status = ondemand.ExtractAll(text, g.paths,
-                                                          &values);
-        if (!extract_status.ok()) {
-          if (metrics != nullptr) ++metrics->ondemand_fallbacks;
-          continue;
+        bool parsed = false;
+        if (spec.enable_ondemand) {
+          const uint64_t skipped_before = ondemand.skipped_bytes();
+          parsed = ondemand.ExtractAll(text, g.paths, &values).ok();
+          if (metrics != nullptr) {
+            if (parsed) {
+              ++metrics->ondemand_records;
+              metrics->ondemand_skipped_bytes +=
+                  ondemand.skipped_bytes() - skipped_before;
+            } else {
+              ++metrics->ondemand_fallbacks;
+            }
+          }
+        }
+        if (!parsed) {
+          parsed = json::GetJsonObjects(text, g.paths, &values).ok();
         }
         if (metrics != nullptr) {
-          ++metrics->ondemand_records;
-          metrics->ondemand_skipped_bytes +=
-              ondemand.skipped_bytes() - skipped_before;
           ++metrics->parse.records_parsed;
           metrics->parse.bytes_parsed += text.size();
         }
+        if (!parsed) continue;
         for (size_t k = 0; k < g.source_idx.size(); ++k) {
-          const Result<std::string>& v = values[k];
-          if (v.ok()) {
-            precomputed[g.source_idx[k]] = storage::Value::String(*v);
-          } else if (v.status().code() == StatusCode::kNotFound) {
-            // Absent path -> NULL, matching get_json_object below.
-            precomputed[g.source_idx[k]] = storage::Value::Null();
-          } else if (metrics != nullptr) {
-            ++metrics->ondemand_fallbacks;
+          // Absent path -> NULL, matching get_json_object and the cacher.
+          if (values[k].ok()) {
+            derived[g.source_idx[k]] =
+                storage::Value::String(std::move(*values[k]));
           }
         }
       }
       for (size_t i = 0; i < sources.size(); ++i) {
         const SourceWork& src = sources[i];
-        if (precomputed[i].has_value()) {
-          row.push_back(std::move(*precomputed[i]));
-          continue;
-        }
         const size_t slot = slot_of.at(src.column);
-        if (batch.column(slot).IsNull(r)) {
-          row.push_back(storage::Value::Null());
+        if (!src.is_xml || batch.column(slot).IsNull(r)) {
+          row.push_back(std::move(derived[i]));
           continue;
         }
         const std::string& text = batch.column(slot).GetString(r);
-        Result<std::string> value =
-            src.is_xml ? xml::GetXmlObject(text, src.xml_path)
-                       : json::GetJsonObject(text, src.json_path);
+        Result<std::string> value = xml::GetXmlObject(text, src.xml_path);
         if (metrics != nullptr) {
           ++metrics->parse.records_parsed;
           metrics->parse.bytes_parsed += text.size();
         }
-        // Absent path -> NULL, matching get_json_object and the cacher.
         row.push_back(value.ok() ? storage::Value::String(std::move(*value))
                                  : storage::Value::Null());
       }

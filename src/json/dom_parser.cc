@@ -1,5 +1,6 @@
 #include "json/dom_parser.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -10,14 +11,75 @@ namespace maxson::json {
 
 namespace {
 
-/// Single-pass cursor over the input text.
+/// The ParseJson sink: materializes every value into the DOM. Values and
+/// keys pass by rvalue reference so building costs no extra moves.
+struct BuildSink {
+  using Value = JsonValue;
+  using Text = std::string;
+
+  static Value String(Text&& s) { return JsonValue::String(std::move(s)); }
+  static Value Bool(bool b) { return JsonValue::Bool(b); }
+  static Value Null() { return JsonValue::Null(); }
+  static Value Object() { return JsonValue::Object(); }
+  static Value Array() { return JsonValue::Array(); }
+  static void Set(Value* object, Text&& key, Value&& value) {
+    object->Set(std::move(key), std::move(value));
+  }
+  static void Append(Value* array, Value&& value) {
+    array->Append(std::move(value));
+  }
+  /// Converts a token the grammar accepted: an integer when it has no
+  /// fraction or exponent and fits int64, else a double. strtod consumes
+  /// every token of that grammar, so conversion cannot fail.
+  static Value Number(std::string_view text, bool is_double) {
+    const std::string token(text);
+    if (!is_double) {
+      errno = 0;
+      char* end = nullptr;
+      long long v = std::strtoll(token.c_str(), &end, 10);
+      if (errno == 0 && end == token.c_str() + token.size()) {
+        return JsonValue::Int(v);
+      }
+      // Fall through: out-of-range integer becomes a double.
+    }
+    return JsonValue::Double(std::strtod(token.c_str(), nullptr));
+  }
+};
+
+/// The ValidateJson sink: keeps nothing, so a validating pass runs the same
+/// grammar without allocating.
+struct NullSink {
+  struct Value {};
+  struct Text {
+    void append(const char*, size_t) {}
+    void push_back(char) {}
+  };
+
+  static Value String(Text&&) { return {}; }
+  static Value Bool(bool) { return {}; }
+  static Value Null() { return {}; }
+  static Value Object() { return {}; }
+  static Value Array() { return {}; }
+  static void Set(Value*, Text&&, Value&&) {}
+  static void Append(Value*, Value&&) {}
+  static Value Number(std::string_view, bool) { return {}; }
+};
+
+/// Single-pass cursor over the input text: the one copy of the JSON grammar.
+/// `Sink` decides what an accepted value becomes (BuildSink: a JsonValue;
+/// NullSink: nothing), so ParseJson and ValidateJson accept exactly the
+/// same documents and fail with the same message at the same offset.
+template <typename Sink>
 class Parser {
  public:
+  using Value = typename Sink::Value;
+  using Text = typename Sink::Text;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
-  Result<JsonValue> Parse() {
+  Result<Value> Parse() {
     SkipWhitespace();
-    MAXSON_ASSIGN_OR_RETURN(JsonValue value, ParseValue(0));
+    MAXSON_ASSIGN_OR_RETURN(Value value, ParseValue(0));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Error("trailing characters after JSON value");
@@ -33,13 +95,20 @@ class Parser {
   }
 
   void SkipWhitespace() {
+    // Compact records have no whitespace between tokens; checking the
+    // next byte inline spares the kernel call in that common case.
+    if (AtEnd() || !IsWhitespace(Peek())) return;
     pos_ = simd::SkipWhitespace(text_.data(), text_.size(), pos_);
+  }
+
+  static bool IsWhitespace(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
   }
 
   bool AtEnd() const { return pos_ >= text_.size(); }
   char Peek() const { return text_[pos_]; }
 
-  Result<JsonValue> ParseValue(int depth) {
+  Result<Value> ParseValue(int depth) {
     if (depth > kMaxDepth) return Error("nesting too deep");
     if (AtEnd()) return Error("unexpected end of input");
     switch (Peek()) {
@@ -48,21 +117,21 @@ class Parser {
       case '[':
         return ParseArray(depth);
       case '"': {
-        MAXSON_ASSIGN_OR_RETURN(std::string s, ParseString());
-        return JsonValue::String(std::move(s));
+        MAXSON_ASSIGN_OR_RETURN(Text s, ParseString());
+        return Sink::String(std::move(s));
       }
       case 't':
-        return ParseLiteral("true", JsonValue::Bool(true));
+        return ParseLiteral("true", Sink::Bool(true));
       case 'f':
-        return ParseLiteral("false", JsonValue::Bool(false));
+        return ParseLiteral("false", Sink::Bool(false));
       case 'n':
-        return ParseLiteral("null", JsonValue::Null());
+        return ParseLiteral("null", Sink::Null());
       default:
         return ParseNumber();
     }
   }
 
-  Result<JsonValue> ParseLiteral(std::string_view literal, JsonValue value) {
+  Result<Value> ParseLiteral(std::string_view literal, Value value) {
     if (text_.substr(pos_, literal.size()) != literal) {
       return Error("invalid literal");
     }
@@ -70,9 +139,9 @@ class Parser {
     return value;
   }
 
-  Result<JsonValue> ParseObject(int depth) {
+  Result<Value> ParseObject(int depth) {
     ++pos_;  // consume '{'
-    JsonValue obj = JsonValue::Object();
+    Value obj = Sink::Object();
     SkipWhitespace();
     if (!AtEnd() && Peek() == '}') {
       ++pos_;
@@ -81,13 +150,13 @@ class Parser {
     while (true) {
       SkipWhitespace();
       if (AtEnd() || Peek() != '"') return Error("expected object key");
-      MAXSON_ASSIGN_OR_RETURN(std::string key, ParseString());
+      MAXSON_ASSIGN_OR_RETURN(Text key, ParseString());
       SkipWhitespace();
       if (AtEnd() || Peek() != ':') return Error("expected ':'");
       ++pos_;
       SkipWhitespace();
-      MAXSON_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      obj.Set(std::move(key), std::move(value));
+      MAXSON_ASSIGN_OR_RETURN(Value value, ParseValue(depth + 1));
+      Sink::Set(&obj, std::move(key), std::move(value));
       SkipWhitespace();
       if (AtEnd()) return Error("unterminated object");
       if (Peek() == ',') {
@@ -102,9 +171,9 @@ class Parser {
     }
   }
 
-  Result<JsonValue> ParseArray(int depth) {
+  Result<Value> ParseArray(int depth) {
     ++pos_;  // consume '['
-    JsonValue arr = JsonValue::Array();
+    Value arr = Sink::Array();
     SkipWhitespace();
     if (!AtEnd() && Peek() == ']') {
       ++pos_;
@@ -112,8 +181,8 @@ class Parser {
     }
     while (true) {
       SkipWhitespace();
-      MAXSON_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      arr.Append(std::move(value));
+      MAXSON_ASSIGN_OR_RETURN(Value value, ParseValue(depth + 1));
+      Sink::Append(&arr, std::move(value));
       SkipWhitespace();
       if (AtEnd()) return Error("unterminated array");
       if (Peek() == ',') {
@@ -128,9 +197,9 @@ class Parser {
     }
   }
 
-  Result<std::string> ParseString() {
+  Result<Text> ParseString() {
     ++pos_;  // consume '"'
-    std::string out;
+    Text out;
     while (true) {
       // Bulk-copy the run of plain bytes up to the next quote or backslash.
       const size_t next =
@@ -211,7 +280,7 @@ class Parser {
     return v;
   }
 
-  static void AppendUtf8(uint32_t cp, std::string* out) {
+  static void AppendUtf8(uint32_t cp, Text* out) {
     if (cp < 0x80) {
       out->push_back(static_cast<char>(cp));
     } else if (cp < 0x800) {
@@ -229,7 +298,7 @@ class Parser {
     }
   }
 
-  Result<JsonValue> ParseNumber() {
+  Result<Value> ParseNumber() {
     const size_t start = pos_;
     if (!AtEnd() && Peek() == '-') ++pos_;
     bool any_digit = false;
@@ -260,20 +329,7 @@ class Parser {
       }
       if (!exp_digit) return Error("invalid exponent");
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    if (!is_double) {
-      errno = 0;
-      char* end = nullptr;
-      long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
-        return JsonValue::Int(v);
-      }
-      // Fall through: out-of-range integer becomes a double.
-    }
-    char* end = nullptr;
-    double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return Error("invalid number");
-    return JsonValue::Double(d);
+    return Sink::Number(text_.substr(start, pos_ - start), is_double);
   }
 
   std::string_view text_;
@@ -283,8 +339,12 @@ class Parser {
 }  // namespace
 
 Result<JsonValue> ParseJson(std::string_view text) {
-  Parser parser(text);
-  return parser.Parse();
+  return Parser<BuildSink>(text).Parse();
+}
+
+Status ValidateJson(std::string_view text) {
+  Result<NullSink::Value> accepted = Parser<NullSink>(text).Parse();
+  return accepted.ok() ? Status::Ok() : accepted.status();
 }
 
 }  // namespace maxson::json

@@ -19,6 +19,12 @@ namespace maxson::json {
 /// true/false/null. Rejects trailing garbage.
 Result<JsonValue> ParseJson(std::string_view text);
 
+/// Runs ParseJson's grammar without building anything: OK exactly when
+/// ParseJson(text) succeeds, otherwise the same ParseError ParseJson
+/// returns. Allocates nothing on the accepting path, so the on-demand tier
+/// can afford it on every record it indexes.
+Status ValidateJson(std::string_view text);
+
 /// Parser statistics counter shared by all parsers, used by the engine's
 /// metrics plumbing to attribute time to the "Parse" phase.
 struct ParseStats {

@@ -15,12 +15,10 @@ Status StructuralTape::Build(std::string_view record) {
   strings.clear();
   stack.clear();
   root_is_container = false;
-  root_entry = 0;
+  MAXSON_RETURN_NOT_OK(ValidateJson(record));
 
   const size_t n = record.size();
-  const size_t first = simd::SkipWhitespace(record.data(), n, 0);
-  if (first >= n) return Status::ParseError("unexpected end of input");
-  const char root = record[first];
+  const char root = record[simd::SkipWhitespace(record.data(), n, 0)];
   if (root != '{' && root != '[') return Status::Ok();  // scalar root
   root_is_container = true;
 
@@ -56,67 +54,31 @@ Status StructuralTape::Build(std::string_view record) {
       }
     }
   }
-  if (in_string) return Status::ParseError("unterminated string literal");
 
   // Phase 3: walk the structural positions outside strings in order,
   // linking every container open to its close. The link is what lets the
-  // cursor hop over an entire sibling subtree in one step.
-  bool root_closed = false;
-  uint32_t root_close_pos = 0;
+  // cursor hop over an entire sibling subtree in one step. The validator
+  // has already proven the containers balanced and the root the only
+  // value, so the root open is the first entry and its close the last.
   for (size_t w = 0; w < words; ++w) {
     uint64_t s = structurals[w] & ~string_mask[w];
     while (s != 0) {
       const size_t pos =
           w * simd::kWordBits + static_cast<size_t>(__builtin_ctzll(s));
       s &= s - 1;
-      if (root_closed) {
-        return Status::ParseError("trailing characters after JSON value");
-      }
       const char c = record[pos];
       TapeEntry e{static_cast<uint32_t>(pos), 0, c};
-      switch (c) {
-        case '{':
-        case '[':
-          // A container's depth is the open-stack size when it begins;
-          // the cap matches dom_parser.cc so both reject the same docs.
-          if (stack.size() > static_cast<size_t>(kMaxDepth)) {
-            return Status::ParseError("nesting too deep");
-          }
-          stack.push_back(static_cast<uint32_t>(entries.size()));
-          break;
-        case '}':
-        case ']': {
-          if (stack.empty()) {
-            return Status::ParseError("unbalanced container close");
-          }
-          const uint32_t oi = stack.back();
-          stack.pop_back();
-          if ((c == '}') != (entries[oi].kind == '{')) {
-            return Status::ParseError("mismatched container close");
-          }
-          entries[oi].match = static_cast<uint32_t>(entries.size());
-          e.match = oi;
-          if (stack.empty()) {
-            root_closed = true;
-            root_close_pos = static_cast<uint32_t>(pos);
-          }
-          break;
-        }
-        default:
-          break;  // ':' and ',' are plain tape entries
+      if (c == '{' || c == '[') {
+        stack.push_back(static_cast<uint32_t>(entries.size()));
+      } else if (c == '}' || c == ']') {
+        const uint32_t oi = stack.back();
+        stack.pop_back();
+        entries[oi].match = static_cast<uint32_t>(entries.size());
+        e.match = oi;
       }
       entries.push_back(e);
     }
   }
-  if (!root_closed) return Status::ParseError("unexpected end of input");
-  const size_t after =
-      simd::SkipWhitespace(record.data(), n, root_close_pos + 1);
-  if (after != n) {
-    return Status::ParseError("trailing characters after JSON value");
-  }
-  // Whitespace is the only thing before the root character, so the root
-  // open is always the first tape entry.
-  root_entry = 0;
   return Status::Ok();
 }
 
@@ -160,32 +122,22 @@ Result<bool> KeyEquals(const StructuralTape& t, const StringSpan& key,
 /// entry is `open`. Every member is scanned and the LAST key match wins,
 /// replicating the DOM's duplicate-key overwrite (JsonValue::Set).
 /// NotFound (empty message — the caller owns the path text) when absent.
+/// The tape is of a validated record, so each member is exactly
+/// key ':' value, followed by ',' or the object's close.
 Result<Node> FindMember(const StructuralTape& t, size_t open,
                         std::string_view field, uint64_t* touched) {
   const std::vector<TapeEntry>& es = t.entries;
   const size_t close = es[open].match;
   size_t i = open + 1;
-  size_t segment_start = es[open].pos + 1;
   Node found;
   bool have = false;
   while (i < close) {
-    if (es[i].kind != ':') {
-      return Status::ParseError("expected ':' in object");
-    }
     const uint32_t colon_pos = es[i].pos;
-    // The member's key is the last string span before its colon. A string
-    // overlapping the colon is impossible — the colon would be masked —
-    // so only the segment-start bound needs checking.
+    // The member's key is the last string span before its colon (es[i]).
     auto it = std::lower_bound(
         t.strings.begin(), t.strings.end(), colon_pos,
         [](const StringSpan& s, uint32_t p) { return s.begin < p; });
-    if (it == t.strings.begin()) {
-      return Status::ParseError("expected object key");
-    }
     --it;
-    if (it->begin < segment_start) {
-      return Status::ParseError("expected object key");
-    }
     // Value: a container hops to its close link; an atom/string runs to
     // the next structural entry, which is this level's ',' or close.
     Node val;
@@ -205,12 +157,7 @@ Result<Node> FindMember(const StructuralTape& t, size_t open,
       found = val;
       have = true;
     }
-    if (next_i == close) break;
-    if (es[next_i].kind != ',') {
-      return Status::ParseError("expected ',' in object");
-    }
-    segment_start = es[next_i].pos + 1;
-    i = next_i + 1;
+    i = next_i + 1;  // past the ',' (or the close, ending the loop)
   }
   if (!have) return Status::NotFound("");
   return found;
@@ -218,6 +165,7 @@ Result<Node> FindMember(const StructuralTape& t, size_t open,
 
 /// The value node of element `index` inside the array whose open entry is
 /// `open`. NotFound (empty message) when the index is out of range.
+/// Elements of a validated record are separated by exactly one ','.
 Result<Node> FindElement(const StructuralTape& t, size_t open, int64_t index) {
   const std::vector<TapeEntry>& es = t.entries;
   const size_t close = es[open].match;
@@ -237,9 +185,6 @@ Result<Node> FindElement(const StructuralTape& t, size_t open, int64_t index) {
       sep_i = i;
       val.end = es[sep_i].pos;
     }
-    if (sep_i != close && es[sep_i].kind != ',') {
-      return Status::ParseError("expected ',' in array");
-    }
     if (idx == 0 && sep_i == close && val.open == kNone) {
       // Sole "element" running straight to the close: an empty array when
       // it is all whitespace.
@@ -256,15 +201,21 @@ Result<Node> FindElement(const StructuralTape& t, size_t open, int64_t index) {
 }
 
 /// Cursors `path` through the tape and materializes the requested value:
-/// the DOM parser runs on exactly the extracted span, so rendering (and
-/// validation of the requested subtree) is byte-identical to the baseline.
+/// the DOM parser runs on exactly the extracted span, so rendering is
+/// byte-identical to the baseline. A scalar root has no tape: only `$`
+/// resolves on it, to the whole record.
 Result<std::string> ResolveOnTape(const StructuralTape& t,
                                   const JsonPath& path, uint64_t* touched) {
   const std::vector<TapeEntry>& es = t.entries;
   Node node;
-  node.open = t.root_entry;
-  node.begin = es[t.root_entry].pos;
-  node.end = es[es[t.root_entry].match].pos + 1;
+  if (t.root_is_container) {
+    node.open = 0;
+    node.begin = es[0].pos;
+    node.end = es[es[0].match].pos + 1;
+  } else {
+    node.end = t.text.size();
+    *touched += node.end;  // nothing to skip in a scalar document
+  }
   for (const JsonPathStep& step : path.steps()) {
     if (node.open == kNone) return Status::NotFound("");  // scalar mid-path
     const char kind = es[node.open].kind;
@@ -297,17 +248,27 @@ Result<std::string> WithPathMessage(Result<std::string> r,
 
 }  // namespace
 
+const Status& OndemandParser::Index(std::string_view json) {
+  if (memo_valid_ && json == memo_text_) {
+    // Re-aim the tape at the owned copy: a moved parser's string may have
+    // moved its bytes (short strings live inside the object).
+    tape_.text = memo_text_;
+    return memo_status_;
+  }
+  memo_text_.assign(json);
+  memo_status_ = tape_.Build(memo_text_);
+  memo_valid_ = true;
+  if (memo_status_.ok() && tape_.root_is_container) ++records_indexed_;
+  return memo_status_;
+}
+
 Result<std::string> OndemandParser::Extract(std::string_view json,
                                             const JsonPath& path) {
-  Status built = tape_.Build(json);
-  if (!built.ok()) return built;
-  if (!tape_.root_is_container) {
-    // Scalar root: nothing to skip — the DOM path is already optimal.
-    return GetJsonObject(json, path);
-  }
-  ++records_indexed_;
+  const Status& indexed = Index(json);
+  if (!indexed.ok()) return indexed;
   uint64_t touched = 0;
-  Result<std::string> r = WithPathMessage(ResolveOnTape(tape_, path, &touched), path);
+  Result<std::string> r =
+      WithPathMessage(ResolveOnTape(tape_, path, &touched), path);
   if (json.size() > touched) skipped_bytes_ += json.size() - touched;
   return r;
 }
@@ -315,24 +276,8 @@ Result<std::string> OndemandParser::Extract(std::string_view json,
 Status OndemandParser::ExtractAll(std::string_view json,
                                   const std::vector<JsonPath>& paths,
                                   std::vector<Result<std::string>>* out) {
-  Status built = tape_.Build(json);
-  if (!built.ok()) return built;
-  if (!tape_.root_is_container) {
-    // Scalar root: one DOM parse serves every path.
-    Result<JsonValue> root = ParseJson(json);
-    if (!root.ok()) return root.status();
-    for (const JsonPath& path : paths) {
-      const JsonValue* node = path.Evaluate(*root);
-      if (node == nullptr) {
-        out->push_back(Status::NotFound("JSONPath " + path.ToString() +
-                                        " not present"));
-      } else {
-        out->push_back(RenderGetJsonObjectResult(*node));
-      }
-    }
-    return Status::Ok();
-  }
-  ++records_indexed_;
+  const Status& indexed = Index(json);
+  if (!indexed.ok()) return indexed;
   uint64_t touched = 0;
   for (const JsonPath& path : paths) {
     out->push_back(WithPathMessage(ResolveOnTape(tape_, path, &touched), path));

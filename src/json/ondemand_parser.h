@@ -17,44 +17,49 @@ namespace maxson::json {
 /// (simd::ClassifyJsonFull) builds a per-record tape of structural
 /// positions, and JSONPaths are resolved by cursoring through the tape —
 /// sibling subtrees the query never asked for are skipped via the tape's
-/// open/close match links without token-parsing their bytes.
+/// open/close match links without materializing them. This is the
+/// engine's default uncached extraction tier.
 ///
-/// Contract vs the DOM baseline (json::GetJsonObject):
-///   - Identical rendering: requested values are materialized by running
-///     the DOM parser on exactly the extracted span and rendering with
-///     RenderGetJsonObjectResult, so successful extractions are
-///     byte-identical to the DOM path by construction. Duplicate keys
-///     resolve to the last occurrence, matching JsonValue::Set overwrite.
-///   - Typed errors: structural malformation visible in the index
-///     (unterminated strings, unbalanced containers, nesting past the DOM
-///     depth cap, trailing garbage) and malformed requested values return
-///     ParseError; missing paths return the same NotFound the DOM path
-///     produces. The engine falls back to the DOM parser per record on any
-///     error, so query results never depend on this tier.
-///   - Documented divergence: token-level garbage confined to a subtree
-///     the query skips is not detected (the bytes are never touched) —
-///     the one case where on-demand succeeds and DOM errors.
+/// Contract vs the DOM baseline (json::GetJsonObject): every call returns
+/// exactly what GetJsonObject returns for the same record and path — the
+/// same bytes on success, the same status code on error, and the same
+/// NotFound message for a missing path.
+///   - Validation: every tape build first runs json::ValidateJson, which is
+///     the DOM parser's own grammar with a sink that builds nothing. A
+///     record is indexed only if the DOM would accept it; any other record
+///     returns the DOM's ParseError, including garbage inside subtrees the
+///     query skips.
+///   - Rendering: requested values are materialized by running the DOM
+///     parser on exactly the extracted span and rendering with
+///     RenderGetJsonObjectResult. Duplicate keys resolve to the last
+///     occurrence, matching JsonValue::Set overwrite.
+///   - Memo: the parser keeps an owned copy of the last record it indexed,
+///     with its tape and build status. A call on the same bytes (a row's k
+///     get_json_object calls, or Extract after ExtractAll) reuses them, so
+///     one row pays one validation and one classification pass. The key is
+///     the bytes, not the address, so a caller may reuse or mutate its
+///     buffer between calls.
+/// The engine still falls back to the DOM parser on any ParseError, so
+/// query results never depend on this tier.
 class OndemandParser {
  public:
   OndemandParser() = default;
 
   /// Resolves `path` within `json`, rendered get_json_object-style.
-  /// Records with a non-container root (scalar documents) are delegated to
-  /// the DOM evaluator — there is nothing to skip.
   Result<std::string> Extract(std::string_view json, const JsonPath& path);
 
   /// Resolves every path in `paths` over one shared tape (one
   /// classification pass per record, however many columns a scan derives
   /// from it). Appends one Result per path to `*out` in order. Returns
-  /// non-OK only for record-level failures (structural malformation), in
-  /// which case `*out` is untouched and the caller should fall back to the
-  /// DOM parser for the whole record.
+  /// non-OK only for a record the validator rejects, in which case `*out`
+  /// is untouched.
   Status ExtractAll(std::string_view json, const std::vector<JsonPath>& paths,
                     std::vector<Result<std::string>>* out);
 
-  /// Telemetry across all Extract/ExtractAll calls: records that got a
-  /// tape, and bytes the cursor skipped past without token-parsing
-  /// (record size minus materialized value spans and compared keys).
+  /// Telemetry across all Extract/ExtractAll calls: tapes built for
+  /// container-rooted records (a memo hit builds none), and bytes the
+  /// cursor skipped past without materializing, summed per call (record
+  /// size minus materialized value spans and compared keys).
   uint64_t records_indexed() const { return records_indexed_; }
   uint64_t skipped_bytes() const { return skipped_bytes_; }
 
@@ -66,7 +71,15 @@ class OndemandParser {
   }
 
  private:
-  ondemand_internal::StructuralTape tape_;
+  /// Validates and indexes `json` into tape_, or reuses the memo when
+  /// `json` has the same bytes as the last record. Returns the build
+  /// status (OK, or the DOM's ParseError for the record).
+  const Status& Index(std::string_view json);
+
+  ondemand_internal::StructuralTape tape_;  // built over memo_text_
+  std::string memo_text_;
+  Status memo_status_;
+  bool memo_valid_ = false;
   uint64_t records_indexed_ = 0;
   uint64_t skipped_bytes_ = 0;
 };

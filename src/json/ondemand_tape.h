@@ -15,10 +15,6 @@
 
 namespace maxson::json::ondemand_internal {
 
-/// Depth cap shared with the DOM parser (dom_parser.cc) so both reject the
-/// same documents: a container at nesting depth > kMaxDepth is an error.
-inline constexpr int kMaxDepth = 256;
-
 /// One structural position outside any string literal: ':' ',' '{' '}'
 /// '[' ']'. Container entries carry the tape index of their partner, which
 /// is what makes skipping a sibling subtree O(1).
@@ -49,15 +45,13 @@ struct StructuralTape {
   std::vector<StringSpan> strings;
   std::vector<uint32_t> stack;     // open-container work stack for Build
   bool root_is_container = false;  // false: scalar root, tape unused
-  uint32_t root_entry = 0;         // tape index of the root '{' or '['
 
-  /// Builds the tape over `text` (which must outlive it). Returns a typed
-  /// ParseError for structural malformation visible in the index:
-  /// unterminated strings, unbalanced or mismatched containers, nesting
-  /// past kMaxDepth, truncation, trailing garbage. Token-level errors
-  /// inside atoms are NOT detected here — the cursor validates the atoms
-  /// it materializes, and skipped subtrees stay unvalidated by design
-  /// (DESIGN.md, "On-demand parsing tier").
+  /// Validates `text` (which must outlive the tape) with json::ValidateJson
+  /// and, when the root is a container, builds the tape over it. A record
+  /// the validator rejects returns the DOM parser's own ParseError, so the
+  /// tape only ever describes a document the DOM accepts, and the walk
+  /// below it needs no error checks of its own (DESIGN.md, "On-demand
+  /// parsing tier").
   Status Build(std::string_view text);
 };
 

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "core/maxson.h"
 #include "gtest/gtest.h"
 #include "storage/corc_format.h"
+#include "storage/corc_reader.h"
 #include "storage/file_system.h"
 #include "workload/data_generator.h"
 
@@ -429,11 +431,32 @@ TEST_F(DurabilityTest, EncodedCacheCorruptionStillFallsBackToRaw) {
   const std::string pristine = ReadBytes(victim);
   ASSERT_EQ(pristine.substr(0, storage::kCorcMagicLen), "CORC3");
 
-  // Flip a bit at several depths inside the chunk-data region (everything
-  // between the leading magic and the footer holds encoded chunks).
-  for (size_t at : {static_cast<size_t>(storage::kCorcMagicLen + 1),
-                    pristine.size() / 4, pristine.size() / 3,
-                    pristine.size() / 2}) {
+  // Damage only a chunk of the column the query reads ($.f0's cache
+  // field), located through the footer's row-group directory. The cache
+  // table's column order is not fixed, so a blind offset can land in the
+  // unread $.f1 column, where no fallback is due.
+  JsonPathLocation f0;
+  f0.database = "db";
+  f0.table = "t";
+  f0.column = "payload";
+  f0.path = "$.f0";
+  const std::optional<core::CacheEntry> entry = session.registry().Lookup(f0);
+  ASSERT_TRUE(entry.has_value());
+  storage::CorcReader reader(victim);
+  ASSERT_TRUE(reader.Open().ok());
+  const int field = reader.schema().FindField(entry->cache_field);
+  ASSERT_GE(field, 0) << entry->cache_field;
+  ASSERT_FALSE(reader.footer().stripes.empty());
+  const storage::RowGroupInfo chunk =
+      reader.footer().stripes[0].columns[static_cast<size_t>(field)]
+          .row_groups[0];
+  ASSERT_GT(chunk.length, 3u);
+
+  // Flip a bit at several depths inside that chunk: first byte, a third
+  // and two thirds in, last byte.
+  for (uint64_t at : {chunk.offset, chunk.offset + chunk.length / 3,
+                      chunk.offset + chunk.length * 2 / 3,
+                      chunk.offset + chunk.length - 1}) {
     std::string bytes = pristine;
     bytes[at] ^= 0x10;
     WriteBytes(victim, bytes);

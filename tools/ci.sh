@@ -15,7 +15,10 @@
 #           finding fails the run instead of scrolling by. The on-demand
 #           parser's differential suite also re-runs standalone (native and
 #           MAXSON_FORCE_ISA=scalar): its cursor arithmetic over SIMD-built
-#           bitmaps is the code most likely to hide an off-by-one. The CORC
+#           bitmaps is the code most likely to hide an off-by-one. That
+#           binary also holds the ValidateJson-vs-ParseJson fuzz, the memo
+#           tests and the engine differential (Table II queries plus
+#           malformed rows, tier on vs off, threads {1,4}). The CORC
 #           encoding suite (dict/RLE/block codecs + fuzzed malformed
 #           streams) re-runs standalone the same two ways: decoders read
 #           attacker-controlled bytes.
@@ -153,7 +156,11 @@ if [[ "$run_asan" == 1 ]]; then
   # an off-by-one there is exactly the bug class ASan/UBSan catches, so its
   # differential suite runs standalone — at the native dispatch level and
   # once more forced to the scalar kernels, proving the tape is
-  # byte-identical no matter which ClassifyJsonFull variant built it.
+  # byte-identical no matter which ClassifyJsonFull variant built it. The
+  # same binary carries the validator fuzz differential (ValidateJson
+  # accepts iff ParseJson does), the one-record memo tests, and the
+  # engine-level differential that runs the Table II queries and a table
+  # of malformed rows with the tier on and off.
   echo "=== On-demand parser differential suite under ASan ==="
   ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

@@ -85,8 +85,9 @@ void PrintHelp() {
       "                     set rawfilter on|off, set budget BYTES,\n"
       "                     set isa scalar|sse2|avx2|auto (SIMD level),\n"
       "                     set faultinject fail:N|torn:N|short:N|off\n"
-      "set ondemand on|off  resolve selective path sets by cursoring the\n"
-      "                     SIMD structural tape instead of a full DOM parse\n"
+      "set ondemand on|off  resolve paths by cursoring a validated SIMD\n"
+      "                     structural tape (on, default) or by a full DOM\n"
+      "                     parse per call (off, the reference path)\n"
       "set sharedscan on|off  coalesce concurrent scans of one table into\n"
       "                     one parse pass per morsel\n"
       "set morselsize ROWS  target rows per shared-scan morsel (0 = one\n"
