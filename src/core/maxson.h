@@ -94,9 +94,10 @@ struct SessionUpdate {
   /// storage::FaultInjector). Malformed specs are rejected.
   std::optional<std::string> fault_injection;
   /// Toggles shared-scan coalescing: concurrent queries over one table
-  /// merge into one parse pass per morsel (see exec/shared_scan.h).
+  /// merge into one parse pass per morsel (see exec/shared_scan.h). Off,
+  /// each query runs the same morsel scan against a private manager.
   std::optional<bool> shared_scan;
-  /// Target rows per shared-scan morsel (0 = one morsel per split).
+  /// Target rows per scan morsel, shared or not (0 = one morsel per split).
   std::optional<uint64_t> morsel_rows;
   /// Toggles CORC v3 adaptive chunk encodings for cache files written from
   /// now on (off = v2 plain chunks; already-written files stay readable).

@@ -336,11 +336,11 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
   exec_ctx.plan_seconds = plan_seconds;
   exec_ctx.pool = pool_.get();
   exec_ctx.enable_ondemand = config_.enable_ondemand;
+  exec_ctx.morsel_rows = config_.morsel_rows;
   if (config_.enable_shared_scan) {
     exec_ctx.shared_scan = shared_scan_.get();
     exec_ctx.scan_validity =
         scan_validity_source_ ? scan_validity_source_() : 0;
-    exec_ctx.morsel_rows = config_.morsel_rows;
   }
   MAXSON_ASSIGN_OR_RETURN(QueryResult executed, ExecutePlan(plan, exec_ctx));
   if (stmt.kind == StatementKind::kExplainAnalyze) {
@@ -422,13 +422,29 @@ struct ChunkState {
   /// Wall time of this chunk's task on its worker; chunk times sum (in
   /// chunk order) into the owning operator's cpu_seconds.
   double seconds = 0;
+
+  /// `base` aimed at `batch` and at this chunk's private accumulators.
+  EvalContext Context(const EvalContext& base, const RecordBatch* batch) {
+    EvalContext wctx = base;
+    wctx.batch = batch;
+    wctx.metrics = &metrics;
+    wctx.mison = &mison;
+    wctx.ondemand = &ondemand;
+    return wctx;
+  }
 };
 
-/// Sums the per-chunk task times accumulated in `states`, in chunk order.
-double SumChunkSeconds(const std::vector<ChunkState>& states) {
-  double total = 0;
-  for (const ChunkState& s : states) total += s.seconds;
-  return total;
+/// Folds every chunk's counters and parser telemetry back in chunk order;
+/// returns the chunks' summed task times (the operator's cpu_seconds).
+double FoldChunks(const std::vector<ChunkState>& states,
+                  QueryMetrics* metrics, json::MisonParser* mison) {
+  double seconds = 0;
+  for (const ChunkState& s : states) {
+    metrics->Accumulate(s.metrics);
+    mison->AbsorbTelemetry(s.mison);
+    seconds += s.seconds;
+  }
+  return seconds;
 }
 
 /// Serialized grouping key: values rendered with a type tag and separator so
@@ -673,11 +689,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     MAXSON_RETURN_NOT_OK(exec::ParallelFor(
         pool, chunks.size(), [&](size_t c) -> Status {
           Stopwatch chunk_timer;
-          EvalContext wctx = ctx;
-          wctx.batch = &input;
-          wctx.metrics = &states[c].metrics;
-          wctx.mison = &states[c].mison;
-          wctx.ondemand = &states[c].ondemand;
+          EvalContext wctx = states[c].Context(ctx, &input);
           for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
             bool rejected = false;
             for (const RowPrefilter& pf : prefilters) {
@@ -700,10 +712,9 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
           states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      metrics.Accumulate(states[c].metrics);
-      query_mison.AbsorbTelemetry(states[c].mison);
-      for (size_t r : kept[c]) filtered.AppendRow(input.GetRow(r));
+    const double chunk_seconds = FoldChunks(states, &metrics, &query_mison);
+    for (const std::vector<size_t>& rows : kept) {
+      for (size_t r : rows) filtered.AppendRow(input.GetRow(r));
     }
     OperatorStats filter_op;
     filter_op.name = "Filter";
@@ -711,7 +722,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     filter_op.rows_out = filtered.num_rows();
     filter_op.units = chunks.size();
     filter_op.wall_seconds = filter_timer.ElapsedSeconds();
-    filter_op.cpu_seconds = SumChunkSeconds(states);
+    filter_op.cpu_seconds = chunk_seconds;
     metrics.operators.push_back(std::move(filter_op));
   } else {
     filtered = std::move(input);
@@ -771,11 +782,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     std::vector<std::map<std::string, Group>> partials(chunks.size());
     MAXSON_RETURN_NOT_OK(exec::ParallelFor(
         pool, chunks.size(), [&](size_t c) -> Status {
-          EvalContext wctx = ctx;
-          wctx.batch = &filtered;
-          wctx.metrics = &states[c].metrics;
-          wctx.mison = &states[c].mison;
-          wctx.ondemand = &states[c].ondemand;
+          EvalContext wctx = states[c].Context(ctx, &filtered);
           Stopwatch chunk_timer;
           std::map<std::string, Group>& local = partials[c];
           for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
@@ -809,11 +816,10 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
           states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
+    const double chunk_seconds = FoldChunks(states, &metrics, &query_mison);
     std::map<std::string, Group> groups;
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      metrics.Accumulate(states[c].metrics);
-      query_mison.AbsorbTelemetry(states[c].mison);
-      for (auto& [key, group] : partials[c]) {
+    for (std::map<std::string, Group>& partial : partials) {
+      for (auto& [key, group] : partial) {
         auto it = groups.find(key);
         if (it == groups.end()) {
           groups.emplace(key, std::move(group));
@@ -890,7 +896,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     agg_op.rows_out = out_rows.size();
     agg_op.units = chunks.size();
     agg_op.wall_seconds = agg_timer.ElapsedSeconds();
-    agg_op.cpu_seconds = SumChunkSeconds(states);
+    agg_op.cpu_seconds = chunk_seconds;
     metrics.operators.push_back(std::move(agg_op));
     // ORDER BY over aggregated output operates on projection aliases.
     // (Sorting below handles the non-aggregate path; for aggregates we sort
@@ -964,12 +970,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       MAXSON_RETURN_NOT_OK(exec::ParallelFor(
           pool, chunks.size(), [&](size_t c) -> Status {
             Stopwatch chunk_timer;
-            EvalContext wctx = ctx;
-            wctx.batch = &filtered;
-            wctx.metrics = &states[c].metrics;
-            wctx.mison = &states[c].mison;
-            wctx.ondemand = &states[c].ondemand;
-          wctx.ondemand = &states[c].ondemand;
+            EvalContext wctx = states[c].Context(ctx, &filtered);
             for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
               wctx.row = r;
               for (const auto& [expr, desc] : plan.order_by) {
@@ -980,10 +981,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
             states[c].seconds = chunk_timer.ElapsedSeconds();
             return Status::Ok();
           }));
-      for (size_t c = 0; c < chunks.size(); ++c) {
-        metrics.Accumulate(states[c].metrics);
-        query_mison.AbsorbTelemetry(states[c].mison);
-      }
+      const double chunk_seconds = FoldChunks(states, &metrics, &query_mison);
       std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
         for (size_t k = 0; k < plan.order_by.size(); ++k) {
           const int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
@@ -997,7 +995,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       sort_op.rows_out = filtered.num_rows();
       sort_op.units = chunks.size();
       sort_op.wall_seconds = sort_timer.ElapsedSeconds();
-      sort_op.cpu_seconds = SumChunkSeconds(states);
+      sort_op.cpu_seconds = chunk_seconds;
       metrics.operators.push_back(std::move(sort_op));
     }
     // DISTINCT must see every row before the limit truncates.
@@ -1015,11 +1013,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     MAXSON_RETURN_NOT_OK(exec::ParallelFor(
         pool, chunks.size(), [&](size_t c) -> Status {
           Stopwatch chunk_timer;
-          EvalContext wctx = ctx;
-          wctx.batch = &filtered;
-          wctx.metrics = &states[c].metrics;
-          wctx.mison = &states[c].mison;
-          wctx.ondemand = &states[c].ondemand;
+          EvalContext wctx = states[c].Context(ctx, &filtered);
           for (size_t i = chunks[c].begin; i < chunks[c].end; ++i) {
             wctx.row = order[i];
             std::vector<Value> row;
@@ -1033,17 +1027,14 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
           states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      metrics.Accumulate(states[c].metrics);
-      query_mison.AbsorbTelemetry(states[c].mison);
-    }
+    const double chunk_seconds = FoldChunks(states, &metrics, &query_mison);
     OperatorStats project_op;
     project_op.name = "Project";
     project_op.rows_in = filtered.num_rows();
     project_op.rows_out = take;
     project_op.units = chunks.size();
     project_op.wall_seconds = project_timer.ElapsedSeconds();
-    project_op.cpu_seconds = SumChunkSeconds(states);
+    project_op.cpu_seconds = chunk_seconds;
     metrics.operators.push_back(std::move(project_op));
   }
 

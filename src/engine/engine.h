@@ -71,16 +71,19 @@ struct EngineConfig {
   /// every level; see src/simd/kernels.h. Applied best-effort at engine
   /// construction — unknown names log a warning and keep the current level.
   std::string force_isa = "";
-  /// Route scans through the engine's SharedScanManager so concurrent
-  /// queries over one table coalesce into one parse pass per morsel (see
-  /// exec/shared_scan.h). Results are byte-identical either way; per-query
-  /// metrics under sharing attribute passes to whichever query executed
-  /// them. Off by default: single-session workloads gain nothing and keep
-  /// the fully deterministic per-query metrics of the private path.
+  /// Let concurrent queries attach to each other's scan passes: every scan
+  /// is a morsel subscription, and this chooses whether it subscribes to
+  /// the engine's SharedScanManager (queries over one table coalesce into
+  /// one parse pass per morsel, see exec/shared_scan.h) or to a private
+  /// one no other query can reach. Results are byte-identical either way;
+  /// per-query metrics under sharing attribute passes to whichever query
+  /// executed them. Off by default: single-session workloads gain nothing
+  /// and keep fully deterministic per-query metrics.
   bool enable_shared_scan = false;
-  /// Target rows per shared-scan morsel; 0 = one morsel per split (the
-  /// paper's one-file-one-split granularity). Smaller morsels increase
-  /// steal/coalesce opportunities at bookkeeping cost.
+  /// Target rows per scan morsel, shared or not; 0 = one morsel per split
+  /// (the paper's one-file-one-split granularity). Smaller morsels add
+  /// parallelism inside a file and coalesce opportunities at bookkeeping
+  /// cost.
   size_t morsel_rows = 0;
 };
 
@@ -150,8 +153,8 @@ class QueryEngine {
   void set_shared_scan(bool enabled) { config_.enable_shared_scan = enabled; }
   void set_morsel_rows(size_t rows) { config_.morsel_rows = rows; }
 
-  /// The engine's shared-scan manager (always constructed; engaged only
-  /// when enable_shared_scan is on). Exposed for stats and tests.
+  /// The engine's shared-scan manager (always constructed; subscribed to
+  /// only when enable_shared_scan is on). Exposed for stats and tests.
   exec::SharedScanManager* shared_scan_manager() const {
     return shared_scan_.get();
   }
@@ -236,8 +239,9 @@ class QueryEngine {
   obs::MetricsRegistry* metrics_registry_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
   std::shared_ptr<exec::ThreadPool> pool_;
-  /// Coalesces concurrent scans into shared parse passes; engaged per
-  /// query when config_.enable_shared_scan is set (see exec/shared_scan.h).
+  /// Coalesces concurrent scans into shared parse passes; subscribed to
+  /// per query when config_.enable_shared_scan is set (see
+  /// exec/shared_scan.h).
   std::unique_ptr<exec::SharedScanManager> shared_scan_;
   /// Cache-state stamp source for shared-scan group keys; see
   /// set_scan_validity_source.

@@ -25,22 +25,23 @@ namespace maxson::engine {
 struct ExecContext {
   /// Planning time carried into the result's metrics.
   double plan_seconds = 0;
-  /// Pool fanning splits/morsels and row chunks; null runs inline.
+  /// Pool fanning morsels and row chunks; null runs inline.
   exec::ThreadPool* pool = nullptr;
-  /// When set, scans subscribe to shared parse passes instead of parsing
-  /// privately (the engine passes its manager only when the sharedscan
-  /// knob is on, so a null here means the per-query path).
+  /// The manager scans subscribe to, so concurrent queries share parse
+  /// passes (the engine passes its manager only when the sharedscan knob
+  /// is on). Null: each scan subscribes to a private manager of its own —
+  /// the same morsel path, with nobody to share it.
   exec::SharedScanManager* shared_scan = nullptr;
   /// Cache-state stamp (CacheRegistry version) keying shared-scan groups:
   /// queries planned across an invalidation never share passes.
   uint64_t scan_validity = 0;
-  /// Target rows per morsel for shared scans; 0 = one morsel per split
-  /// (the paper's one-file-one-split granularity).
+  /// Target rows per scan morsel; 0 = one morsel per split (the paper's
+  /// one-file-one-split granularity).
   size_t morsel_rows = 0;
   /// Route uncached JSON extraction through the on-demand parsing tier;
   /// set from EngineConfig::enable_ondemand.
   bool enable_ondemand = true;
-  /// Cooperative cancellation: checked between splits/morsels and between
+  /// Cooperative cancellation: checked between morsels and between
   /// operators, never mid-pass. Null = uncancellable.
   const std::atomic<bool>* cancel = nullptr;
 

@@ -8,7 +8,6 @@
 #include "common/time_util.h"
 #include "engine/planner.h"
 #include "exec/shared_scan.h"
-#include "exec/thread_pool.h"
 #include "json/json_path.h"
 #include "json/ondemand_parser.h"
 #include "storage/corc_reader.h"
@@ -64,9 +63,7 @@ SearchArgument ReconcileSargWithSchema(const SearchArgument& sarg,
 }
 
 /// The physical columns one pass decodes: raw columns by name, cache
-/// columns by binding. A private scan's spec comes straight from its
-/// ScanNode; a shared pass's spec is the decoded *union* of every
-/// subscriber's columns.
+/// columns by binding — the decoded *union* of every subscriber's columns.
 struct ScanSpec {
   std::vector<std::string> raw_columns;
   std::vector<CacheColumnRequest> cache_columns;
@@ -76,11 +73,15 @@ struct ScanSpec {
   bool enable_ondemand = true;
 };
 
-ScanSpec SpecFromScan(const ScanNode& scan) {
-  ScanSpec spec;
-  spec.raw_columns = scan.columns;
-  spec.cache_columns = scan.cache_columns;
-  return spec;
+/// Appends every cell of `src` to `dst`: the whole column when the types
+/// match, otherwise cell by cell through AppendValue (a typed int64/double
+/// cache column feeding a string output) — the conversion a boxed row gets.
+void StitchColumn(storage::ColumnVector&& src, storage::ColumnVector* dst) {
+  if (src.type() == dst->type()) {
+    dst->AppendColumn(std::move(src));
+    return;
+  }
+  for (size_t r = 0; r < src.size(); ++r) dst->AppendValue(src.GetValue(r));
 }
 
 /// One subscriber's (raw SARG, cache SARG) pair. A pass prunes row groups
@@ -97,7 +98,7 @@ struct StripeRange {
 };
 
 /// Reads one stripe range of one split, combining raw and cached columns
-/// row-by-row. The cache half of the combiner; on cache corruption the
+/// column-wise. The cache half of the combiner; on cache corruption the
 /// caller retries with ScanSplitRawFallback. `out`'s columns are
 /// spec.raw_columns followed by spec.cache_columns, in order.
 Status ScanSplitCached(const ScanSpec& spec,
@@ -279,20 +280,15 @@ Status ScanSplitCached(const ScanSpec& spec,
       }
     }
 
-    // Value combiner: place each value at its position in the output schema
-    // (Algorithm 2's index-by-name step happened once, at schema build).
-    const size_t rows =
-        raw_indexes.empty() ? cache_batch.num_rows() : raw_batch.num_rows();
-    for (size_t r = 0; r < rows; ++r) {
-      std::vector<storage::Value> row;
-      row.reserve(raw_indexes.size() + cache_indexes.size());
-      for (size_t c = 0; c < raw_indexes.size(); ++c) {
-        row.push_back(raw_batch.column(c).GetValue(r));
-      }
-      for (size_t c = 0; c < cache_indexes.size(); ++c) {
-        row.push_back(cache_batch.column(c).GetValue(r));
-      }
-      out->AppendRow(row);
+    // Value combiner: stitch each column into its position in the output
+    // schema (Algorithm 2's index-by-name step happened once, at schema
+    // build), a whole column at a time.
+    for (size_t c = 0; c < raw_indexes.size(); ++c) {
+      StitchColumn(std::move(raw_batch.column(c)), &out->column(c));
+    }
+    for (size_t c = 0; c < cache_indexes.size(); ++c) {
+      StitchColumn(std::move(cache_batch.column(c)),
+                   &out->column(raw_indexes.size() + c));
     }
   }
   return Status::Ok();
@@ -509,7 +505,7 @@ Status ScanSplit(const ScanSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// Shared-scan path: column keys, morsel construction, subscription.
+// The scan: column keys, morsel construction, subscription.
 // ---------------------------------------------------------------------------
 
 /// Opaque column keys the scheduler unions and compares. Raw columns key by
@@ -571,8 +567,8 @@ Result<ScanSpec> SpecFromUnionKeys(const std::vector<std::string>& keys) {
 /// by the key* (keys are unique; subscribers map their columns by name), in
 /// the pass's layout order — raw columns then cache columns, matching what
 /// ScanSplitCached/RawFallback append. Types mirror ScanOutputSchema (raw
-/// columns by the table schema, cache columns as strings) so per-subscriber
-/// projection moves values without conversion.
+/// columns by the table schema, cache columns as strings) so each
+/// subscriber's fan-out copies whole columns without conversion.
 Schema UnionSchema(const ScanSpec& spec, const Schema& table_schema) {
   Schema out;
   for (const std::string& name : spec.raw_columns) {
@@ -588,62 +584,48 @@ Schema UnionSchema(const ScanSpec& spec, const Schema& table_schema) {
 }
 
 /// Chops the table's splits into morsels: stripe ranges of at least
-/// `morsel_rows` rows (0 = one morsel per split). Only the primary files'
-/// footers are consulted — cache-side problems must surface inside the
-/// pass, where the corruption fallback can handle them.
+/// `morsel_rows` rows. With `morsel_rows == 0` every split is one morsel
+/// over all its stripes and no footer is opened here — the pass reads it
+/// once. Only the primary files' footers are consulted — cache-side
+/// problems must surface inside the pass, where the corruption fallback
+/// can handle them.
 Result<std::vector<exec::Morsel>> BuildMorsels(
     const std::vector<Split>& splits, size_t morsel_rows) {
   std::vector<exec::Morsel> morsels;
   for (const Split& split : splits) {
+    exec::Morsel m;
+    m.split_index = split.index;
+    m.split_path = split.path;
+    if (morsel_rows == 0) {
+      m.end_stripe = exec::Morsel::kAllStripes;
+      morsels.push_back(std::move(m));
+      continue;
+    }
     CorcReader reader(split.path);
     MAXSON_RETURN_NOT_OK(reader.Open());
     const size_t num_stripes = reader.num_stripes();
-    uint64_t row_offset = 0;
-    size_t begin = 0;
     uint64_t rows_in_morsel = 0;
-    uint64_t begin_row = 0;
     for (size_t s = 0; s < num_stripes; ++s) {
       rows_in_morsel +=
           static_cast<uint64_t>(reader.footer().stripes[s].num_rows);
-      row_offset += static_cast<uint64_t>(reader.footer().stripes[s].num_rows);
-      const bool last = s + 1 == num_stripes;
-      if (!last && (morsel_rows == 0 || rows_in_morsel < morsel_rows)) {
-        continue;
-      }
-      exec::Morsel m;
-      m.split_index = split.index;
-      m.split_path = split.path;
-      m.begin_stripe = begin;
+      if (s + 1 < num_stripes && rows_in_morsel < morsel_rows) continue;
       m.end_stripe = s + 1;
-      m.begin_row = begin_row;
-      m.end_row = row_offset;
-      morsels.push_back(std::move(m));
-      begin = s + 1;
-      begin_row = row_offset;
+      morsels.push_back(m);
+      m.begin_stripe = s + 1;
       rows_in_morsel = 0;
     }
-    if (num_stripes == 0) {
-      // Keep one (empty) morsel so every split is represented and morsel
-      // counts stay stable across sharing modes.
-      exec::Morsel m;
-      m.split_index = split.index;
-      m.split_path = split.path;
-      morsels.push_back(std::move(m));
-    }
+    // Keep one (empty) morsel for a 0-stripe split so every split is
+    // represented, as it is with whole-split morsels.
+    if (num_stripes == 0) morsels.push_back(std::move(m));
   }
   return morsels;
 }
 
-/// Scan through the SharedScanManager: subscribe interest, run/ride the
-/// coalesced passes, then project each union batch down to this scan's
-/// columns in morsel order — byte-identical rows to the private path.
-Result<RecordBatch> ExecuteSharedScan(const ScanNode& scan,
-                                      QueryMetrics* metrics,
-                                      exec::SharedScanManager& manager,
-                                      const ExecContext& ctx) {
-  Stopwatch timer;
-  const Schema out_schema = ScanOutputSchema(scan);
+}  // namespace
 
+Result<RecordBatch> ExecuteScan(const ScanNode& scan, QueryMetrics* metrics,
+                                const ExecContext& ctx) {
+  Stopwatch timer;
   MAXSON_ASSIGN_OR_RETURN(std::vector<Split> splits,
                           FileSystem::ListSplits(scan.table_dir));
   if (splits.empty()) {
@@ -685,11 +667,14 @@ Result<RecordBatch> ExecuteSharedScan(const ScanNode& scan,
     for (const exec::ScanPredicate& p : predicates) {
       pairs.emplace_back(p.raw_sarg, p.cache_sarg);
     }
+    std::optional<StripeRange> range;
+    if (morsel.end_stripe != exec::Morsel::kAllStripes) {
+      range = StripeRange{morsel.begin_stripe, morsel.end_stripe};
+    }
     RecordBatch batch(UnionSchema(spec, scan.table_schema));
     QueryMetrics* slot = &morsel_metrics[ordinal];
-    MAXSON_RETURN_NOT_OK(ScanSplit(
-        spec, pairs, morsel.split_path, morsel.split_index,
-        StripeRange{morsel.begin_stripe, morsel.end_stripe}, &batch, slot));
+    MAXSON_RETURN_NOT_OK(ScanSplit(spec, pairs, morsel.split_path,
+                                   morsel.split_index, range, &batch, slot));
     morsel_seconds[ordinal] = pass_timer.ElapsedSeconds();
     exec::SharedPassOutput output;
     output.batch = std::move(batch);
@@ -698,21 +683,24 @@ Result<RecordBatch> ExecuteSharedScan(const ScanNode& scan,
     return output;
   };
 
+  // A lone query subscribes to a manager no other query can reach; with
+  // sharing on, concurrent queries may attach to each other's passes.
+  exec::SharedScanManager private_manager;
+  exec::SharedScanManager& manager =
+      ctx.shared_scan != nullptr ? *ctx.shared_scan : private_manager;
   std::unique_ptr<exec::ScanSubscription> sub =
       manager.Subscribe(interest, pass_fn);
   MAXSON_RETURN_NOT_OK(sub->Collect(ctx.pool, ctx.cancel));
 
-  RecordBatch out(out_schema);
+  // Fan-out: copy this scan's columns out of each union batch, whole
+  // columns in morsel order, so rows match at every sharing mode.
+  RecordBatch out(ScanOutputSchema(scan));
   for (size_t i = 0; i < sub->num_morsels(); ++i) {
     const RecordBatch& batch = sub->batch(i);
     const std::vector<size_t> mapping = sub->ColumnMapping(i);
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<storage::Value> row;
-      row.reserve(mapping.size());
-      for (const size_t c : mapping) {
-        row.push_back(batch.column(c).GetValue(r));
-      }
-      out.AppendRow(row);
+    for (size_t c = 0; c < mapping.size(); ++c) {
+      StitchColumn(storage::ColumnVector(batch.column(mapping[c])),
+                   &out.column(c));
     }
     if (metrics != nullptr && sub->executed_by_self(i)) {
       metrics->Accumulate(morsel_metrics[i]);
@@ -724,71 +712,12 @@ Result<RecordBatch> ExecuteSharedScan(const ScanNode& scan,
     metrics->read_seconds += timer.ElapsedSeconds();
     OperatorStats op;
     op.name = "Scan";
-    op.detail = scan.table_dir + " (shared)";
+    op.detail = scan.table_dir;
     op.rows_out = out.num_rows();
     op.units = interest.morsels.size();
     op.cache_columns = scan.cache_columns.size();
     op.wall_seconds = timer.ElapsedSeconds();
     for (double s : morsel_seconds) op.cpu_seconds += s;
-    metrics->operators.push_back(std::move(op));
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<RecordBatch> ExecuteScan(const ScanNode& scan, QueryMetrics* metrics,
-                                const ExecContext& ctx) {
-  if (ctx.shared_scan != nullptr) {
-    return ExecuteSharedScan(scan, metrics, *ctx.shared_scan, ctx);
-  }
-
-  Stopwatch timer;
-  const Schema out_schema = ScanOutputSchema(scan);
-  RecordBatch out(out_schema);
-
-  MAXSON_ASSIGN_OR_RETURN(std::vector<Split> splits,
-                          FileSystem::ListSplits(scan.table_dir));
-  if (splits.empty()) {
-    return Status::NotFound("no part files under " + scan.table_dir);
-  }
-  ScanSpec spec = SpecFromScan(scan);
-  spec.enable_ondemand = ctx.enable_ondemand;
-  const std::vector<SargPair> predicates = {
-      SargPair{scan.raw_sarg, scan.cache_sarg}};
-  // One task per split, each running the full value-combiner pipeline into
-  // a private buffer with a private metrics accumulator; the merge below
-  // happens in split order, so row order and counter totals match
-  // sequential execution exactly.
-  std::vector<RecordBatch> buffers(splits.size());
-  std::vector<QueryMetrics> split_metrics(splits.size());
-  std::vector<double> split_seconds(splits.size(), 0.0);
-  MAXSON_RETURN_NOT_OK(exec::ParallelFor(
-      ctx.pool, splits.size(), [&](size_t i) -> Status {
-        if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-        Stopwatch split_timer;
-        buffers[i] = RecordBatch(out_schema);
-        Status status =
-            ScanSplit(spec, predicates, splits[i].path, splits[i].index,
-                      std::nullopt, &buffers[i],
-                      metrics != nullptr ? &split_metrics[i] : nullptr);
-        split_seconds[i] = split_timer.ElapsedSeconds();
-        return status;
-      }));
-  for (size_t i = 0; i < buffers.size(); ++i) {
-    if (metrics != nullptr) metrics->Accumulate(split_metrics[i]);
-    out.AppendBatch(std::move(buffers[i]));
-  }
-  if (metrics != nullptr) {
-    metrics->read_seconds += timer.ElapsedSeconds();
-    OperatorStats op;
-    op.name = "Scan";
-    op.detail = scan.table_dir;
-    op.rows_out = out.num_rows();
-    op.units = splits.size();
-    op.cache_columns = scan.cache_columns.size();
-    op.wall_seconds = timer.ElapsedSeconds();
-    for (double s : split_seconds) op.cpu_seconds += s;
     metrics->operators.push_back(std::move(op));
   }
   return out;

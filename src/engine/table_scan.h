@@ -17,22 +17,19 @@ namespace maxson::engine {
 /// condition), the CacheReader's row-group exclusions are shared with the
 /// PrimaryReader so both skip the same groups (Algorithm 3).
 ///
-/// Two execution paths, selected by `ctx`:
-///
-///  - Private (ctx.shared_scan == nullptr): one task per split on ctx.pool
-///    (the paper's unit of parallelism; null pool = sequential), each into
-///    a private buffer with private metrics; buffers and counters merge in
-///    split order, so the output is byte-identical at every parallelism
-///    degree.
-///
-///  - Shared (ctx.shared_scan set): the scan subscribes its (table, split,
-///    columns, SARGs) interest to the SharedScanManager and morsels are
-///    parsed once per concurrent subscriber group — see exec/shared_scan.h
-///    and DESIGN.md ("Morsel-driven shared scans"). Rows are assembled in
-///    morsel (split/stripe) order, so results are byte-identical to the
-///    private path; per-query *metrics* attribute a pass to whichever
-///    query executed it, so under concurrency they are a scheduling
-///    property, unlike the deterministic private path.
+/// One execution path: the scan chops its splits into morsels (one per
+/// split unless ctx.morsel_rows asks for finer stripe ranges) and
+/// subscribes its (table, morsels, columns, SARGs) interest to a
+/// SharedScanManager — ctx.shared_scan when set, so concurrent queries
+/// parse each morsel once per subscriber group, else a private manager of
+/// its own (see exec/shared_scan.h and DESIGN.md, "Morsel-driven shared
+/// scans"). Passes fan across ctx.pool (null = sequential); columns are
+/// stitched whole in morsel (split/stripe) order, so the output is
+/// byte-identical at every parallelism degree, morsel size and sharing
+/// mode. Per-query *metrics* attribute a pass to whichever query executed
+/// it, so under sharing they are a scheduling property; a private
+/// subscription executes every pass itself and its metrics are
+/// deterministic.
 ///
 /// Returns the concatenated scan output (raw columns, qualified when the
 /// scan has a qualifier, followed by cache columns). Metrics accumulate

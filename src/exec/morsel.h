@@ -21,14 +21,16 @@ namespace maxson::exec {
 /// split. The executor above (engine/table_scan.cc) decides the granularity
 /// — one morsel per split by default, finer when a morsel-row target is set
 /// — and the scheduler only ever treats a morsel as an opaque, claimable
-/// unit. Row bounds are informational (absolute over the split's file).
+/// unit.
 struct Morsel {
+  /// `end_stripe` of a whole-split morsel: every stripe the split has,
+  /// however many, so building it needs no footer.
+  static constexpr size_t kAllStripes = static_cast<size_t>(-1);
+
   size_t split_index = 0;
   std::string split_path;
   size_t begin_stripe = 0;  // [begin_stripe, end_stripe)
   size_t end_stripe = 0;
-  uint64_t begin_row = 0;  // [begin_row, end_row)
-  uint64_t end_row = 0;
 
   /// Identity key for coalescing: two subscriptions share a parse pass only
   /// when they ask for the exact same stripe range of the same split.

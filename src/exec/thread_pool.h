@@ -16,10 +16,10 @@
 
 namespace maxson::exec {
 
-/// Shared worker pool behind the engine's split-parallel scans, the
+/// Shared worker pool behind the engine's morsel-parallel scans, the
 /// row-chunk-parallel operators, and the midnight cacher — the in-process
 /// analogue of the paper's SparkSQL executors (one file = one split = one
-/// unit of parallelism).
+/// morsel = one unit of parallelism by default).
 ///
 /// The pool models a *parallelism degree* of `num_threads`: it owns
 /// `num_threads - 1` OS threads and every blocking helper (TaskGroup::Wait,

@@ -26,8 +26,8 @@ struct ServeOptions {
   /// concurrent tenants querying one table coalesce into one parse pass
   /// per morsel (see exec/shared_scan.h). On by default here — the serving
   /// layer is exactly the concurrent-identical-scan workload sharing
-  /// targets — and applied to the session at construction; flip off for
-  /// strictly private per-query scans.
+  /// targets — and applied to the session at construction; flip off so
+  /// each query scans its morsels alone.
   bool enable_shared_scan = true;
   /// Executions that fail with kIoError are retried this many times: a
   /// midnight recache can unlink a cache part file between plan and read,

@@ -54,10 +54,11 @@ std::vector<BenchmarkQuery> MakeTableIIQueries(
     } else if (q.name == "Q3" || q.name == "Q4") {
       q.table_spec.schema_variability = 0.2;
     }
-    // Row count: fixed byte budget per table, capped.
-    q.table_spec.rows = std::max<uint64_t>(
-        2000, std::min<uint64_t>(options.max_rows,
-                                 options.bytes_per_table /
+    // Row count: fixed byte budget per table, floored at 2000 rows, then
+    // capped at max_rows (the cap wins, so small test suites stay small).
+    q.table_spec.rows = std::min<uint64_t>(
+        options.max_rows,
+        std::max<uint64_t>(2000, options.bytes_per_table /
                                      static_cast<uint64_t>(
                                          std::max(1, row.avg_json_bytes))));
 

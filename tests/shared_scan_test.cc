@@ -9,19 +9,22 @@
 // retired passes never rejoined, validity keying) and the cooperative
 // cancellation contract.
 //
-// The end-to-end tests run real queries over a generated JSON table —
-// through the session with sharing toggled, and through MaxsonServer with
-// truly concurrent clients — asserting results stay byte-identical to the
-// sharing-off ground truth while the maxson_sharedscan_* counters prove
-// passes were actually shared. Overlap at the server level is timing-
+// The end-to-end tests run real queries over generated JSON tables —
+// through the session across sharing modes, morsel sizes and thread counts
+// against an oracle that reads the part files itself, and through
+// MaxsonServer with truly concurrent clients — asserting results stay
+// byte-identical to the ground truth while the maxson_sharedscan_*
+// counters prove passes were actually shared. Overlap at the server level is timing-
 // dependent, so coalescing there is asserted with a bounded retry loop;
 // correctness is asserted on every attempt.
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -30,8 +33,11 @@
 #include "exec/shared_scan.h"
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
+#include "json/json_path.h"
 #include "obs/metrics_registry.h"
 #include "serve/server.h"
+#include "storage/corc_reader.h"
+#include "storage/corc_writer.h"
 #include "storage/file_system.h"
 #include "workload/data_generator.h"
 
@@ -62,8 +68,6 @@ std::vector<Morsel> MakeMorsels(size_t n) {
     m.split_path = "split" + std::to_string(i);
     m.begin_stripe = 0;
     m.end_stripe = 1;
-    m.begin_row = i * 100;
-    m.end_row = i * 100 + 100;
     morsels.push_back(std::move(m));
   }
   return morsels;
@@ -452,28 +456,155 @@ class SharedScanE2ETest : public ::testing::Test {
   std::unique_ptr<core::MaxsonSession> session_;
 };
 
-TEST_F(SharedScanE2ETest, SharingOnAndOffAreByteIdentical) {
-  const std::vector<std::string> queries = {
-      "SELECT id FROM t",
-      "SELECT id, get_json_object(payload, '$.f1') AS f1 FROM t "
-      "WHERE id >= 100",
-      "SELECT get_json_object(payload, '$.f2') AS f2 FROM t WHERE id < 50",
-  };
-  // Ground truth with the private per-query scan path (sharing defaults
-  // off on a bare session).
-  std::vector<std::string> expected;
-  for (const std::string& sql : queries) expected.push_back(Fingerprint(sql));
+/// One query of the matrix test and its ground truth's recipe: rows whose
+/// `id` passes `keep`, projecting `id` (when `with_id`) and then each JSON
+/// path of `payload` under its alias.
+struct OracleQuery {
+  std::string sql;
+  std::function<bool(int64_t)> keep;
+  bool with_id = false;
+  std::vector<std::pair<std::string, std::string>> paths;  // alias, path
+};
 
-  // Coarse morsels (one per split), then fine morsels (several per split)
-  // to exercise the morsel-order reassembly.
-  for (const uint64_t morsel_rows : {uint64_t{0}, uint64_t{60}}) {
-    SetSharedScan(true, morsel_rows);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(Fingerprint(queries[i]), expected[i])
-          << queries[i] << " diverged with morsel_rows=" << morsel_rows;
+/// Ground truth that shares no code with the scan executor: reads every
+/// part file of `table_dir` in split order with a bare CorcReader and
+/// extracts each path with one DOM parse (json::GetJsonObject), NULL when
+/// absent — get_json_object's contract.
+storage::RecordBatch OracleBatch(const std::string& table_dir,
+                                 const OracleQuery& q) {
+  storage::Schema schema;
+  if (q.with_id) schema.AddField("id", storage::TypeKind::kInt64);
+  std::vector<json::JsonPath> paths;
+  for (const auto& [alias, text] : q.paths) {
+    schema.AddField(alias, storage::TypeKind::kString);
+    auto path = json::JsonPath::Parse(text);
+    EXPECT_TRUE(path.ok()) << text;
+    paths.push_back(*path);
+  }
+  storage::RecordBatch out(schema);
+  auto splits = storage::FileSystem::ListSplits(table_dir);
+  EXPECT_TRUE(splits.ok()) << splits.status();
+  if (!splits.ok()) return out;
+  for (const storage::Split& split : *splits) {
+    storage::CorcReader reader(split.path);
+    EXPECT_TRUE(reader.Open().ok()) << split.path;
+    const std::vector<int> columns = {reader.schema().FindField("id"),
+                                      reader.schema().FindField("payload")};
+    for (size_t s = 0; s < reader.num_stripes(); ++s) {
+      auto stripe = reader.ReadStripe(s, columns, std::nullopt, nullptr);
+      EXPECT_TRUE(stripe.ok()) << stripe.status();
+      if (!stripe.ok()) return out;
+      for (size_t r = 0; r < stripe->num_rows(); ++r) {
+        const int64_t id = stripe->column(0).GetInt64(r);
+        if (!q.keep(id)) continue;
+        std::vector<storage::Value> row;
+        if (q.with_id) row.push_back(storage::Value::Int64(id));
+        for (const json::JsonPath& path : paths) {
+          auto value = json::GetJsonObject(stripe->column(1).GetString(r),
+                                           path);
+          row.push_back(value.ok() ? storage::Value::String(*value)
+                                   : storage::Value::Null());
+        }
+        out.AppendRow(row);
+      }
     }
   }
-  // Even sequential queries go through the shared executor when enabled.
+  return out;
+}
+
+TEST_F(SharedScanE2ETest, SharingOnAndOffAreByteIdentical) {
+  // A second table of 50-row stripes, so morsel_rows = 60 cuts each split
+  // into several morsels, whose middle part file holds zero stripes:
+  // whole-split morsels of it must read nothing, and stripe morsels must
+  // keep it as one empty morsel.
+  workload::JsonTableSpec spec;
+  spec.database = "db";
+  spec.table = "z";
+  spec.num_properties = 4;
+  spec.avg_json_bytes = 120;
+  spec.rows = 300;
+  spec.rows_per_file = 150;
+  spec.rows_per_group = 50;
+  spec.seed = 8;
+  auto generated =
+      workload::GenerateJsonTable(spec, root_ + "/warehouse", 1, &catalog_);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  const std::string z_dir = generated->location;
+  const auto part = [&](size_t index) {
+    return z_dir + "/" + storage::FileSystem::PartFileName(index);
+  };
+  // Part files 0 and 1 become 0 and 2 (rewritten as 3 stripes each); the
+  // new part file 1 is empty.
+  for (const auto& [from, to] : {std::pair<size_t, size_t>{1, 2}, {0, 0},
+                                 {1, 1}}) {
+    storage::CorcReader reader(part(from));
+    ASSERT_TRUE(reader.Open().ok());
+    auto rows = reader.ReadAll(nullptr);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    storage::CorcWriterOptions options;
+    options.rows_per_stripe = 50;
+    options.rows_per_group = 25;
+    storage::CorcWriter writer(part(to), reader.schema(), options);
+    ASSERT_TRUE(writer.Open().ok());
+    if (to != 1) {
+      ASSERT_TRUE(writer.WriteBatch(*rows).ok());
+    }
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  for (const auto& [index, stripes] :
+       {std::pair<size_t, size_t>{0, 3}, {1, 0}, {2, 3}}) {
+    storage::CorcReader check(part(index));
+    ASSERT_TRUE(check.Open().ok());
+    ASSERT_EQ(check.num_stripes(), stripes) << part(index);
+  }
+
+  const std::vector<OracleQuery> queries = {
+      {"SELECT id FROM TABLE", [](int64_t) { return true; }, true, {}},
+      {"SELECT id, get_json_object(payload, '$.f1') AS f1 FROM TABLE "
+       "WHERE id >= 100",
+       [](int64_t id) { return id >= 100; },
+       true,
+       {{"f1", "$.f1"}}},
+      {"SELECT get_json_object(payload, '$.f2') AS f2 FROM TABLE "
+       "WHERE id < 50",
+       [](int64_t id) { return id < 50; },
+       false,
+       {{"f2", "$.f2"}}},
+  };
+  const std::vector<std::pair<std::string, std::string>> tables = {
+      {"t", root_ + "/warehouse/db/t"}, {"z", z_dir}};
+
+  std::vector<std::string> sqls;
+  std::vector<std::string> expected;
+  for (const auto& [name, dir] : tables) {
+    for (const OracleQuery& q : queries) {
+      std::string sql = q.sql;
+      sql.replace(sql.find("TABLE"), 5, name);
+      sqls.push_back(sql);
+      const storage::RecordBatch truth = OracleBatch(dir, q);
+      ASSERT_GT(truth.num_rows(), 0u) << sql;
+      expected.push_back(engine::FingerprintBatch(truth));
+    }
+  }
+
+  // Coarse morsels (one per split) and fine ones (several per split of z,
+  // to exercise morsel-order reassembly), sequential and fanned.
+  for (const bool sharing : {false, true}) {
+    for (const uint64_t morsel_rows : {uint64_t{0}, uint64_t{60}}) {
+      for (const size_t threads : {size_t{1}, size_t{4}}) {
+        SetSharedScan(sharing, morsel_rows);
+        core::SessionUpdate update;
+        update.num_threads = threads;
+        ASSERT_TRUE(session_->UpdateConfig(update).ok());
+        for (size_t i = 0; i < sqls.size(); ++i) {
+          EXPECT_EQ(Fingerprint(sqls[i]), expected[i])
+              << sqls[i] << " diverged with sharing=" << sharing
+              << " morsel_rows=" << morsel_rows << " threads=" << threads;
+        }
+      }
+    }
+  }
+  // Sequential queries go through the engine's manager when sharing is on.
   const auto stats = session_->stats();
   EXPECT_TRUE(stats.shared_scan_enabled);
   EXPECT_GT(stats.sharedscan_subscribers, 0u);

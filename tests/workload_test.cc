@@ -264,6 +264,17 @@ TEST(QueryTemplatesTest, GeneratedSuiteExecutesEndToEnd) {
       GenerateBenchmarkTables(queries, warehouse, options, &catalog).ok());
 
   engine::QueryEngine engine(&catalog, engine::EngineConfig{});
+  // max_rows caps every table, below the suite's 2000-row floor too.
+  for (const BenchmarkQuery& q : queries) {
+    EXPECT_LE(q.table_spec.rows, options.max_rows) << q.name;
+    auto count = engine.Execute("SELECT COUNT(*) AS n FROM bench." +
+                                q.table_spec.table);
+    ASSERT_TRUE(count.ok()) << q.name << ": " << count.status();
+    ASSERT_EQ(count->batch.num_rows(), 1u);
+    EXPECT_LE(count->batch.column(0).GetInt64(0),
+              static_cast<int64_t>(options.max_rows))
+        << q.name;
+  }
   for (const char* name : {"Q1", "Q2", "Q9"}) {
     const auto it =
         std::find_if(queries.begin(), queries.end(),

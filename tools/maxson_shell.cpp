@@ -88,10 +88,11 @@ void PrintHelp() {
       "set ondemand on|off  resolve paths by cursoring a validated SIMD\n"
       "                     structural tape (on, default) or by a full DOM\n"
       "                     parse per call (off, the reference path)\n"
-      "set sharedscan on|off  coalesce concurrent scans of one table into\n"
-      "                     one parse pass per morsel\n"
-      "set morselsize ROWS  target rows per shared-scan morsel (0 = one\n"
-      "                     morsel per split)\n"
+      "set sharedscan on|off  let concurrent scans of one table share one\n"
+      "                     parse pass per morsel (off: each query scans\n"
+      "                     its morsels alone)\n"
+      "set morselsize ROWS  target rows per scan morsel (0 = one morsel\n"
+      "                     per split)\n"
       "set corcencoding on|off  write cache files as CORC v3 with adaptive\n"
       "                     chunk encodings (dict/RLE/block; off = v2 plain)\n"
       "set resultcache on|off  serve repeated SELECTs from the semantic\n"
