@@ -1,6 +1,9 @@
 #include "core/cacher.h"
 
+#include <algorithm>
+#include <chrono>
 #include <map>
+#include <optional>
 
 #include "common/time_util.h"
 #include "json/json_path.h"
@@ -20,31 +23,22 @@ using storage::Split;
 using storage::TypeKind;
 using storage::Value;
 
-Result<SampledPathStats> SampleTableStats(const catalog::TableInfo& table,
-                                          const std::string& column,
-                                          const std::string& path,
-                                          size_t sample_rows,
-                                          engine::JsonBackend backend) {
+Result<TableSample> SampleTablePaths(const catalog::TableInfo& table,
+                                     const std::string& column,
+                                     const std::vector<std::string>& paths,
+                                     size_t sample_rows,
+                                     engine::JsonBackend backend) {
   MAXSON_ASSIGN_OR_RETURN(std::vector<Split> splits,
                           FileSystem::ListSplits(table.location));
   if (splits.empty()) {
     return Status::NotFound("no splits under " + table.location);
   }
-  const bool is_xml = xml::IsXmlPathText(path);
-  json::JsonPath parsed_path;
-  xml::XmlPath parsed_xpath;
-  if (is_xml) {
-    MAXSON_ASSIGN_OR_RETURN(parsed_xpath, xml::XmlPath::Parse(path));
-  } else {
-    MAXSON_ASSIGN_OR_RETURN(parsed_path, json::JsonPath::Parse(path));
-  }
-
-  SampledPathStats stats;
   // Total row count across splits (for cache-footprint estimation).
+  uint64_t table_rows = 0;
   for (const Split& split : splits) {
     CorcReader reader(split.path);
     MAXSON_RETURN_NOT_OK(reader.Open());
-    stats.table_rows += reader.num_rows();
+    table_rows += reader.num_rows();
   }
 
   CorcReader reader(splits[0].path);
@@ -56,30 +50,104 @@ Result<SampledPathStats> SampleTableStats(const catalog::TableInfo& table,
   MAXSON_ASSIGN_OR_RETURN(
       storage::RecordBatch batch,
       reader.ReadStripe(0, {column_index}, std::nullopt, nullptr));
-
-  json::MisonParser mison;
-  uint64_t total_bytes = 0;
-  size_t measured = 0;
-  Stopwatch timer;
+  std::vector<const std::string*> records;
   const size_t limit = std::min(sample_rows, batch.num_rows());
   for (size_t r = 0; r < limit; ++r) {
-    if (batch.column(0).IsNull(r)) continue;
-    const std::string& text = batch.column(0).GetString(r);
-    Result<std::string> value =
-        is_xml ? xml::GetXmlObject(text, parsed_xpath)
-               : (backend == engine::JsonBackend::kMison
-                      ? mison.Extract(text, parsed_path)
-                      : json::GetJsonObject(text, parsed_path));
-    if (value.ok()) total_bytes += value->size();
-    ++measured;
+    if (!batch.column(0).IsNull(r)) {
+      records.push_back(&batch.column(0).GetString(r));
+    }
   }
-  const double elapsed = timer.ElapsedSeconds();
-  if (measured > 0) {
-    stats.avg_value_bytes = std::max(
-        1.0, static_cast<double>(total_bytes) / static_cast<double>(measured));
-    stats.avg_parse_seconds = elapsed / static_cast<double>(measured);
+
+  struct Probe {
+    Status status;
+    bool is_xml = false;
+    bool shared = false;  // evaluates against the shared DOM
+    json::JsonPath parsed;
+    xml::XmlPath xpath;
+    uint64_t bytes = 0;
+    double seconds = 0.0;
+  };
+  std::vector<Probe> probes(paths.size());
+  bool any_shared = false;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    Probe& p = probes[i];
+    p.is_xml = xml::IsXmlPathText(paths[i]);
+    if (p.is_xml) {
+      auto parsed = xml::XmlPath::Parse(paths[i]);
+      p.status = parsed.status();
+      if (parsed.ok()) p.xpath = std::move(*parsed);
+    } else {
+      auto parsed = json::JsonPath::Parse(paths[i]);
+      p.status = parsed.status();
+      if (parsed.ok()) p.parsed = std::move(*parsed);
+    }
+    p.shared = p.status.ok() && !p.is_xml &&
+               backend != engine::JsonBackend::kMison;
+    any_shared |= p.shared;
   }
-  return stats;
+
+  // Mison's speculation and XPath evaluation work per path: each runs its
+  // own pass over the shared records.
+  for (Probe& p : probes) {
+    if (!p.status.ok() || p.shared) continue;
+    json::MisonParser mison;
+    Stopwatch timer;
+    for (const std::string* text : records) {
+      Result<std::string> value = p.is_xml ? xml::GetXmlObject(*text, p.xpath)
+                                           : mison.Extract(*text, p.parsed);
+      if (value.ok()) p.bytes += value->size();
+    }
+    p.seconds = timer.ElapsedSeconds();
+  }
+  // DOM: one parse per record, charged to every JSONPath, then each path's
+  // own evaluate and render.
+  if (any_shared) {
+    const auto seconds = [](MonotonicTime from, MonotonicTime to) {
+      return std::chrono::duration<double>(to - from).count();
+    };
+    double parse_seconds = 0.0;
+    for (const std::string* text : records) {
+      MonotonicTime lap = MonotonicNow();
+      const Result<json::JsonValue> root = json::ParseJson(*text);
+      MonotonicTime now = MonotonicNow();
+      parse_seconds += seconds(lap, now);
+      for (Probe& p : probes) {
+        if (!p.shared) continue;
+        const json::JsonValue* node =
+            root.ok() ? p.parsed.Evaluate(*root) : nullptr;
+        if (node != nullptr) {
+          p.bytes += json::RenderGetJsonObjectResult(*node).size();
+        }
+        lap = now;
+        now = MonotonicNow();
+        p.seconds += seconds(lap, now);
+      }
+    }
+    for (Probe& p : probes) {
+      if (p.shared) p.seconds += parse_seconds;
+    }
+  }
+
+  TableSample sample;
+  sample.records_sampled = records.size();
+  for (const Probe& p : probes) {
+    if (!p.status.ok()) {
+      sample.paths.emplace_back(p.status);
+      continue;
+    }
+    SampledPathStats stats;
+    stats.table_rows = table_rows;
+    if (!records.empty()) {
+      const double measured = static_cast<double>(records.size());
+      stats.avg_value_bytes =
+          std::max(1.0, static_cast<double>(p.bytes) / measured);
+      stats.avg_parse_seconds = p.seconds / measured;
+    }
+    stats.estimated_cache_bytes = static_cast<uint64_t>(
+        stats.avg_value_bytes * static_cast<double>(table_rows));
+    sample.paths.emplace_back(stats);
+  }
+  return sample;
 }
 
 Status JsonPathCacher::CacheTablePaths(
@@ -133,37 +201,58 @@ Status JsonPathCacher::CacheTablePaths(
   // values in typed columns, so the cache table's row-group min/max indexes
   // order numerically and SARGs like `id > 10000` (Fig. 10) can skip row
   // groups correctly. Values that are not uniformly numeric stay strings.
+  // Each source column's first stripe is read once and each of its first
+  // kTypeInferenceRows records parsed once for every path still numeric;
+  // the pass stops early once all of them turned out strings.
   {
+    struct Inference {
+      PathWork* work;
+      bool all_int = true;
+      bool all_double = true;
+      bool any_value = false;
+    };
+    std::map<std::string, std::vector<Inference>> by_column;
+    for (PathWork& w : work) {
+      // XML values stay strings (text content).
+      if (!w.is_xml) by_column[w.location.column].push_back({&w});
+    }
     CorcReader sample_reader(splits[0].path);
     MAXSON_RETURN_NOT_OK(sample_reader.Open());
-    for (PathWork& w : work) {
-      if (w.is_xml) continue;  // XML values stay strings (text content)
-      const int idx = sample_reader.schema().FindField(w.location.column);
+    uint64_t records_sampled = 0;
+    for (auto& [column, pending] : by_column) {
+      const int idx = sample_reader.schema().FindField(column);
       if (idx < 0) continue;
       MAXSON_ASSIGN_OR_RETURN(
           storage::RecordBatch batch,
           sample_reader.ReadStripe(0, {idx}, std::nullopt, nullptr));
-      bool all_int = true;
-      bool all_double = true;
-      bool any_value = false;
-      const size_t limit = std::min<size_t>(batch.num_rows(), 256);
-      for (size_t r = 0; r < limit; ++r) {
+      size_t numeric = pending.size();
+      const size_t limit = std::min(batch.num_rows(), kTypeInferenceRows);
+      for (size_t r = 0; r < limit && numeric > 0; ++r) {
         if (batch.column(0).IsNull(r)) continue;
         auto dom = json::ParseJson(batch.column(0).GetString(r));
+        ++records_sampled;
         if (!dom.ok()) continue;
-        const json::JsonValue* node = w.parsed.Evaluate(*dom);
-        if (node == nullptr) continue;
-        any_value = true;
-        if (!node->is_int()) all_int = false;
-        if (!node->is_number()) all_double = false;
-        if (!all_double) break;
+        for (Inference& p : pending) {
+          if (!p.all_double) continue;
+          const json::JsonValue* node = p.work->parsed.Evaluate(*dom);
+          if (node == nullptr) continue;
+          p.any_value = true;
+          if (!node->is_int()) p.all_int = false;
+          if (!node->is_number()) {
+            p.all_double = false;
+            --numeric;
+          }
+        }
       }
-      if (any_value && all_int) {
-        w.type = TypeKind::kInt64;
-      } else if (any_value && all_double) {
-        w.type = TypeKind::kDouble;
+      for (const Inference& p : pending) {
+        if (p.any_value && p.all_int) {
+          p.work->type = TypeKind::kInt64;
+        } else if (p.any_value && p.all_double) {
+          p.work->type = TypeKind::kDouble;
+        }
       }
     }
+    if (stats != nullptr) stats->records_sampled += records_sampled;
   }
   storage::Schema cache_schema;
   for (const PathWork& w : work) {
@@ -194,14 +283,16 @@ Status JsonPathCacher::CacheTablePaths(
           }
           source_columns.push_back(idx);
         }
-        // Deduplicate source columns for the read.
+        // Deduplicate source columns for the read; work_slot[wi] is the
+        // batch slot holding path wi's source column.
         std::vector<int> unique_columns;
-        std::map<int, int> column_slot;  // file column index -> batch slot
+        std::vector<size_t> work_slot;
+        work_slot.reserve(work.size());
         for (int c : source_columns) {
-          if (column_slot.emplace(c, static_cast<int>(unique_columns.size()))
-                  .second) {
-            unique_columns.push_back(c);
-          }
+          auto it = std::find(unique_columns.begin(), unique_columns.end(), c);
+          work_slot.push_back(
+              static_cast<size_t>(it - unique_columns.begin()));
+          if (it == unique_columns.end()) unique_columns.push_back(c);
         }
 
         // The cache file mirrors the raw file: same index in the sorted
@@ -216,40 +307,40 @@ Status JsonPathCacher::CacheTablePaths(
         MAXSON_RETURN_NOT_OK(writer.Open());
 
         json::MisonParser mison;
+        // Parse each source JSON column once per row and evaluate every
+        // requested path against it (the whole point of pre-parsing is to
+        // pay the deserialization once). Per-slot DOMs and the row buffer
+        // are reused across rows.
+        std::vector<std::optional<Result<json::JsonValue>>> doms(
+            unique_columns.size());
+        std::vector<Value> row;
+        row.reserve(work.size());
         for (size_t s = 0; s < reader.num_stripes(); ++s) {
           MAXSON_ASSIGN_OR_RETURN(
               storage::RecordBatch batch,
               reader.ReadStripe(s, unique_columns, std::nullopt, nullptr));
           Stopwatch parse_timer;
           for (size_t r = 0; r < batch.num_rows(); ++r) {
-            // Parse each source JSON column once per row and evaluate every
-            // requested path against it (the whole point of pre-parsing is
-            // to pay the deserialization once).
-            std::map<int, Result<json::JsonValue>> doms;
-            std::vector<Value> row;
-            row.reserve(work.size());
+            for (auto& dom : doms) dom.reset();
+            row.clear();
             for (size_t wi = 0; wi < work.size(); ++wi) {
               const PathWork& w = work[wi];
-              const int slot = column_slot.at(source_columns[wi]);
-              if (batch.column(static_cast<size_t>(slot)).IsNull(r)) {
+              const size_t slot = work_slot[wi];
+              if (batch.column(slot).IsNull(r)) {
                 row.push_back(Value::Null());
                 continue;
               }
-              const std::string& text =
-                  batch.column(static_cast<size_t>(slot)).GetString(r);
+              const std::string& text = batch.column(slot).GetString(r);
               Result<std::string> value = Status::NotFound("");
               if (w.is_xml) {
                 value = xml::GetXmlObject(text, w.xpath);
               } else if (backend_ == engine::JsonBackend::kMison) {
                 value = mison.Extract(text, w.parsed);
               } else {
-                auto dom_it = doms.find(slot);
-                if (dom_it == doms.end()) {
-                  dom_it = doms.emplace(slot, json::ParseJson(text)).first;
-                }
-                if (dom_it->second.ok()) {
-                  const json::JsonValue* node =
-                      w.parsed.Evaluate(*dom_it->second);
+                std::optional<Result<json::JsonValue>>& dom = doms[slot];
+                if (!dom.has_value()) dom.emplace(json::ParseJson(text));
+                if (dom->ok()) {
+                  const json::JsonValue* node = w.parsed.Evaluate(**dom);
                   if (node != nullptr) {
                     value = json::RenderGetJsonObjectResult(*node);
                   }

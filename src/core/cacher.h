@@ -18,26 +18,52 @@
 namespace maxson::core {
 
 /// Sampled per-path statistics used by the scoring function: B_j from a
-/// sample of splits, P_j measured with the same parsing algorithm the
-/// engine uses (Section IV-B).
+/// sample of the table's first stripe, P_j measured with the same parsing
+/// algorithm the engine uses (Section IV-B).
 struct SampledPathStats {
   double avg_value_bytes = 1.0;
   double avg_parse_seconds = 0.0;
   uint64_t table_rows = 0;
+  /// B_j times table_rows: the path's cache footprint, used by budgeted
+  /// selection.
+  uint64_t estimated_cache_bytes = 0;
 };
 
-/// Reads up to `sample_rows` records from the first split of the table and
-/// measures the average parsed-value size and parse time of `path`.
-Result<SampledPathStats> SampleTableStats(
-    const catalog::TableInfo& table, const std::string& column,
-    const std::string& path, size_t sample_rows,
-    engine::JsonBackend backend);
+/// One sample of a table column shared by all of its candidate paths.
+struct TableSample {
+  /// One entry per requested path, in request order. A path whose text
+  /// does not parse carries that error and drops alone.
+  std::vector<Result<SampledPathStats>> paths;
+  /// Non-null records read from the sample (each parsed once).
+  uint64_t records_sampled = 0;
+};
+
+/// Reads stripe 0 of the table's first split once and measures every path
+/// of `paths` over up to `sample_rows` of its `column` records. With the
+/// DOM backend each record is parsed once and every JSONPath evaluates and
+/// renders against that DOM: P_j is the shared parse time plus the path's
+/// own evaluate-and-render time per record, the cost of one GetJsonObject
+/// call. Mison extracts (and XPaths evaluate) per path over the same
+/// records. Table-level failures (no splits, missing column, unreadable
+/// stripe) fail the whole call.
+Result<TableSample> SampleTablePaths(const catalog::TableInfo& table,
+                                     const std::string& column,
+                                     const std::vector<std::string>& paths,
+                                     size_t sample_rows,
+                                     engine::JsonBackend backend);
+
+/// Records of each source column's first stripe that the cacher parses to
+/// choose its cache columns' types.
+inline constexpr size_t kTypeInferenceRows = 256;
 
 /// Accounting of one caching run (pre-parsing cost appears in Fig. 11's
 /// "cache overhead" discussion).
 struct CachingStats {
   uint64_t paths_cached = 0;
   uint64_t rows_parsed = 0;
+  /// Records parsed to infer the cache columns' types (one pass per source
+  /// column, shared by its paths).
+  uint64_t records_sampled = 0;
   uint64_t bytes_written = 0;
   double parse_seconds = 0.0;
   double total_seconds = 0.0;
@@ -54,6 +80,7 @@ struct CachingStats {
   void Add(const CachingStats& other) {
     paths_cached += other.paths_cached;
     rows_parsed += other.rows_parsed;
+    records_sampled += other.records_sampled;
     bytes_written += other.bytes_written;
     parse_seconds += other.parse_seconds;
     total_seconds += other.total_seconds;

@@ -1,6 +1,7 @@
 #include "core/maxson.h"
 
 #include <algorithm>
+#include <map>
 
 #include "common/logging.h"
 #include "common/time_util.h"
@@ -126,22 +127,62 @@ Result<std::vector<ScoredMpjp>> MaxsonSession::ScoreCandidates(
       collector_.QueriesOn(reference_day);
   const std::set<std::string> mpjp_set(mpjp_keys.begin(), mpjp_keys.end());
 
-  std::vector<MpjpCandidate> candidates;
+  // Paths on one table column share one sample: its stripe is read and
+  // each sampled record parsed once for all of them. Groups form in
+  // first-seen order; candidates come out in key order.
+  struct Group {
+    const workload::JsonPathLocation* location;  // database, table, column
+    std::vector<std::string> paths;
+  };
+  std::vector<Group> groups;
+  std::map<std::string, size_t> group_of;
+  struct Slot {
+    const workload::JsonPathLocation* location;
+    size_t group;
+    size_t path;
+  };
+  std::vector<Slot> slots;
   for (const std::string& key : mpjp_keys) {
     const workload::JsonPathLocation* location = collector_.Location(key);
     if (location == nullptr) continue;
-    auto table = catalog_->GetTable(location->database, location->table);
-    if (!table.ok()) continue;  // path over a table this deployment lacks
-    auto sampled =
-        SampleTableStats(**table, location->column, location->path,
-                         config_.sample_rows, config_.engine.json_backend);
+    const std::string group_key = location->database + '\0' +
+                                  location->table + '\0' + location->column;
+    const auto [it, added] = group_of.emplace(group_key, groups.size());
+    if (added) groups.push_back({location, {}});
+    Group& group = groups[it->second];
+    slots.push_back({location, it->second, group.paths.size()});
+    group.paths.push_back(location->path);
+  }
+
+  std::vector<Result<TableSample>> samples;
+  samples.reserve(groups.size());
+  uint64_t records_sampled = 0;
+  for (const Group& group : groups) {
+    auto table =
+        catalog_->GetTable(group.location->database, group.location->table);
+    if (!table.ok()) {  // paths over a table this deployment lacks
+      samples.emplace_back(table.status());
+      continue;
+    }
+    samples.push_back(SampleTablePaths(**table, group.location->column,
+                                       group.paths, config_.sample_rows,
+                                       config_.engine.json_backend));
+    if (samples.back().ok()) records_sampled += samples.back()->records_sampled;
+  }
+  metrics_->GetCounter(obs::kMidnightRecordsSampled)
+      ->Increment(records_sampled);
+
+  std::vector<MpjpCandidate> candidates;
+  for (const Slot& slot : slots) {
+    const Result<TableSample>& sample = samples[slot.group];
+    if (!sample.ok()) continue;
+    const Result<SampledPathStats>& sampled = sample->paths[slot.path];
     if (!sampled.ok()) continue;
     MpjpCandidate candidate;
-    candidate.location = *location;
+    candidate.location = *slot.location;
     candidate.avg_value_bytes = sampled->avg_value_bytes;
     candidate.avg_parse_seconds = sampled->avg_parse_seconds;
-    candidate.estimated_cache_bytes = static_cast<uint64_t>(
-        sampled->avg_value_bytes * static_cast<double>(sampled->table_rows));
+    candidate.estimated_cache_bytes = sampled->estimated_cache_bytes;
     candidates.push_back(std::move(candidate));
   }
   return ScoreMpjps(candidates, queries, mpjp_set);
@@ -192,6 +233,8 @@ Result<MidnightReport> MaxsonSession::RunMidnightCycle(DateId target_day) {
       ->Increment(report.caching.paths_cached);
   metrics_->GetCounter(obs::kMidnightRowsParsed)
       ->Increment(report.caching.rows_parsed);
+  metrics_->GetCounter(obs::kMidnightRecordsSampled)
+      ->Increment(report.caching.records_sampled);
   metrics_->GetCounter(obs::kMidnightBytesWritten)
       ->Increment(report.caching.bytes_written);
   PublishCorcEncodingMetrics(metrics_, report.caching);
@@ -215,6 +258,8 @@ Result<CachingStats> MaxsonSession::CacheSelected(
       ->Increment(stats.paths_cached);
   metrics_->GetCounter(obs::kMidnightRowsParsed)
       ->Increment(stats.rows_parsed);
+  metrics_->GetCounter(obs::kMidnightRecordsSampled)
+      ->Increment(stats.records_sampled);
   metrics_->GetCounter(obs::kMidnightBytesWritten)
       ->Increment(stats.bytes_written);
   PublishCorcEncodingMetrics(metrics_, stats);

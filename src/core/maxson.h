@@ -33,8 +33,8 @@ struct MaxsonConfig {
   uint64_t cache_budget_bytes = 64ull << 20;
   PredictorConfig predictor;
   engine::EngineConfig engine;
-  /// Rows sampled per path when measuring B_j / P_j for the scoring
-  /// function.
+  /// Rows sampled per table column (shared by all of its paths) when
+  /// measuring B_j / P_j for the scoring function.
   size_t sample_rows = 200;
   /// When true, MPJPs are chosen randomly within the budget instead of by
   /// score (the Fig. 11 "random" baseline).
@@ -181,7 +181,9 @@ class MaxsonSession {
   }
 
   /// Builds the scored candidate list for `target_day` from a given MPJP
-  /// key set without caching (exposed for benchmarks and ablations).
+  /// key set without caching (exposed for benchmarks and ablations). Keys
+  /// on one table column share one sample (SampleTablePaths); the records
+  /// it parsed count into maxson_midnight_records_sampled_total.
   Result<std::vector<ScoredMpjp>> ScoreCandidates(
       const std::vector<std::string>& mpjp_keys, DateId target_day);
 

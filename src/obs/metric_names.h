@@ -74,6 +74,10 @@ inline constexpr char kMidnightPathsCached[] =
     "maxson_midnight_paths_cached_total";
 inline constexpr char kMidnightRowsParsed[] =
     "maxson_midnight_rows_parsed_total";
+/// Records parsed to score candidates and to infer cache column types:
+/// one sample per (table, column), shared by every path on it.
+inline constexpr char kMidnightRecordsSampled[] =
+    "maxson_midnight_records_sampled_total";
 inline constexpr char kMidnightBytesWritten[] =
     "maxson_midnight_bytes_written_total";
 inline constexpr char kMidnightLastParseSeconds[] =

@@ -13,6 +13,10 @@
 #include "core/predictor.h"
 #include "core/scoring.h"
 #include "gtest/gtest.h"
+#include "obs/metric_names.h"
+#include "obs/metrics_registry.h"
+#include "storage/corc_reader.h"
+#include "storage/corc_writer.h"
 #include "storage/file_system.h"
 #include "workload/data_generator.h"
 #include "workload/trace_generator.h"
@@ -361,16 +365,165 @@ class MaxsonEndToEndTest : public ::testing::Test {
   catalog::Catalog catalog_;
 };
 
-TEST_F(MaxsonEndToEndTest, SampleTableStatsMeasuresSizesAndTimes) {
-  auto table = catalog_.GetTable("mydb", "sales");
+TEST_F(MaxsonEndToEndTest, SampleTablePathsMatchesOnePathSamples) {
+  // A nested-object table: f3 is {"n0":{"n1":{"leaf":N}}}.
+  workload::JsonTableSpec spec;
+  spec.database = "mydb";
+  spec.table = "nested";
+  spec.num_properties = 12;
+  spec.avg_json_bytes = 300;
+  spec.nesting_level = 3;
+  spec.rows = 600;
+  spec.rows_per_file = 200;
+  ASSERT_TRUE(
+      workload::GenerateJsonTable(spec, root_ + "/warehouse", 3, &catalog_)
+          .ok());
+  auto table = catalog_.GetTable("mydb", "nested");
   ASSERT_TRUE(table.ok());
-  auto stats = SampleTableStats(**table, "payload", "$.f1", 100,
-                                engine::JsonBackend::kDom);
+  const std::vector<std::string> paths = {"$.f1", "$.f3.n0.n1.leaf",
+                                          "$.absent", "$.f1[", "$.f2"};
+  const std::string bad_path = "$.f1[";
+  for (engine::JsonBackend backend :
+       {engine::JsonBackend::kDom, engine::JsonBackend::kMison}) {
+    auto shared = SampleTablePaths(**table, "payload", paths, 100, backend);
+    ASSERT_TRUE(shared.ok()) << shared.status();
+    ASSERT_EQ(shared->paths.size(), paths.size());
+    EXPECT_EQ(shared->records_sampled, 100u);
+    for (size_t i = 0; i < paths.size(); ++i) {
+      SCOPED_TRACE(paths[i]);
+      const Result<SampledPathStats>& many = shared->paths[i];
+      auto one = SampleTablePaths(**table, "payload", {paths[i]}, 100, backend);
+      ASSERT_TRUE(one.ok()) << one.status();
+      ASSERT_EQ(one->paths.size(), 1u);
+      if (paths[i] == bad_path) {
+        // The unparsable path drops alone; its neighbours still sample.
+        EXPECT_FALSE(many.ok());
+        EXPECT_FALSE(one->paths[0].ok());
+        continue;
+      }
+      ASSERT_TRUE(many.ok()) << many.status();
+      ASSERT_TRUE(one->paths[0].ok());
+      EXPECT_EQ(many->table_rows, 600u);
+      EXPECT_EQ(many->table_rows, one->paths[0]->table_rows);
+      EXPECT_EQ(many->avg_value_bytes, one->paths[0]->avg_value_bytes);
+      EXPECT_EQ(many->estimated_cache_bytes,
+                one->paths[0]->estimated_cache_bytes);
+      if (paths[i] != "$.absent") {
+        EXPECT_GT(many->avg_value_bytes, 1.0);
+        EXPECT_GT(many->avg_parse_seconds, 0.0);
+      } else {
+        EXPECT_EQ(many->avg_value_bytes, 1.0);  // the floor: nothing cached
+      }
+    }
+  }
+  // A table-level failure fails the whole sample.
+  EXPECT_FALSE(SampleTablePaths(**table, "no_such_column", paths, 100,
+                                engine::JsonBackend::kDom)
+                   .ok());
+}
+
+TEST_F(MaxsonEndToEndTest, MidnightSamplesEachTableColumnOnce) {
+  obs::MetricsRegistry metrics;
+  MaxsonConfig config = Config();
+  config.metrics = &metrics;
+  MaxsonSession session(&catalog_, config);
+  const std::vector<std::string> daily = {"$.f0", "$.f1", "$.f2", "$.f4",
+                                          "$.f5"};
+  for (int day = 0; day < 14; ++day) {
+    for (int rep = 0; rep < 3; ++rep) {
+      workload::QueryRecord q;
+      q.date = day;
+      q.recurrence = workload::Recurrence::kDaily;
+      for (const std::string& path : daily) {
+        q.paths.push_back(Loc("sales", path));
+      }
+      session.RecordQuery(q);
+    }
+  }
+  ASSERT_TRUE(session.TrainPredictor(8, 13).ok());
+  auto report = session.RunMidnightCycle(14);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_GE(report->selected.size(), 3u);
+  EXPECT_EQ(report->caching.paths_cached, report->selected.size());
+
+  // One (table, column): scoring parses sample_rows records once for every
+  // path, and type inference parses kTypeInferenceRows records once (the
+  // integral $.f0 keeps it reading to the cap), however many paths there
+  // are.
+  EXPECT_EQ(report->caching.records_sampled, kTypeInferenceRows);
+  EXPECT_EQ(metrics.GetCounter(obs::kMidnightRecordsSampled)->value(),
+            config.sample_rows + kTypeInferenceRows);
+}
+
+TEST_F(MaxsonEndToEndTest, CacheTablePathsInfersTypesPerPath) {
+  // One payload column whose paths are integral, fractional, textual,
+  // integral only in row 0, integral then fractional, and absent.
+  using storage::TypeKind;
+  const std::string dir = root_ + "/warehouse/mydb.typed";
+  ASSERT_TRUE(FileSystem::MakeDirs(dir).ok());
+  storage::Schema schema;
+  schema.AddField("id", TypeKind::kInt64);
+  schema.AddField("payload", TypeKind::kString);
+  storage::CorcWriter writer(dir + "/" + FileSystem::PartFileName(0), schema,
+                             {});
+  ASSERT_TRUE(writer.Open().ok());
+  for (int r = 0; r < 300; ++r) {
+    const std::string n = std::to_string(r);
+    const std::string payload =
+        "{\"i\":" + n + ",\"d\":" + n + ".5,\"s\":\"v" + n +
+        "\",\"m\":" + (r == 0 ? std::string("7") : "\"x" + n + "\"") +
+        ",\"w\":" + (r < 10 ? n : n + ".25") + "}";
+    ASSERT_TRUE(writer
+                    .AppendRow({storage::Value::Int64(r),
+                                storage::Value::String(payload)})
+                    .ok());
+  }
+  ASSERT_TRUE(writer.Close().ok());
+  catalog::TableInfo info;
+  info.database = "mydb";
+  info.name = "typed";
+  info.schema = schema;
+  info.location = dir;
+  ASSERT_TRUE(catalog_.CreateTable(info).ok());
+
+  const std::vector<std::pair<std::string, TypeKind>> expected = {
+      {"$.i", TypeKind::kInt64},  {"$.d", TypeKind::kDouble},
+      {"$.s", TypeKind::kString}, {"$.m", TypeKind::kString},
+      {"$.w", TypeKind::kDouble}, {"$.absent", TypeKind::kString}};
+  auto cache = [&](const std::vector<std::string>& paths) {
+    std::vector<ScoredMpjp> selected(paths.size());
+    for (size_t i = 0; i < paths.size(); ++i) {
+      selected[i].candidate.location = Loc("typed", paths[i]);
+    }
+    CacheRegistry registry;
+    JsonPathCacher cacher(&catalog_, root_ + "/cache");
+    return cacher.RepopulateCache(selected, 1, &registry);
+  };
+  std::vector<std::string> paths;
+  for (const auto& [path, type] : expected) paths.push_back(path);
+  auto stats = cache(paths);
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->table_rows, 3000u);
-  EXPECT_GT(stats->avg_value_bytes, 1.0);   // "catN" strings
-  EXPECT_LT(stats->avg_value_bytes, 10.0);
-  EXPECT_GT(stats->avg_parse_seconds, 0.0);
+  // $.i and $.d stay numeric, so inference reads to the cap.
+  EXPECT_EQ(stats->records_sampled, kTypeInferenceRows);
+  auto splits = FileSystem::ListSplits(CacheTableDir(root_ + "/cache", "mydb",
+                                                     "typed"));
+  ASSERT_TRUE(splits.ok());
+  ASSERT_EQ(splits->size(), 1u);
+  storage::CorcReader reader((*splits)[0].path);
+  ASSERT_TRUE(reader.Open().ok());
+  for (const auto& [path, type] : expected) {
+    SCOPED_TRACE(path);
+    const int field =
+        reader.schema().FindField(CacheFieldName("payload", path));
+    ASSERT_GE(field, 0);
+    EXPECT_EQ(reader.schema().field(static_cast<size_t>(field)).type, type);
+  }
+
+  // Once every path has turned out textual the pass stops: $.s in row 0,
+  // $.m in row 1.
+  stats = cache({"$.s", "$.m"});
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->records_sampled, 2u);
 }
 
 TEST_F(MaxsonEndToEndTest, CacherWritesAlignedCacheTables) {
