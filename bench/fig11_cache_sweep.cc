@@ -19,6 +19,7 @@
 
 #include "bench/bench_util.h"
 #include "catalog/catalog.h"
+#include "common/time_util.h"
 #include "core/maxson.h"
 #include "core/scoring.h"
 #include "engine/fingerprint.h"
@@ -125,8 +126,11 @@ int main() {
   }
 
   // Predict + score once; selection then varies by budget and strategy.
+  // Their time is part of every configuration's midnight cost below.
+  maxson::Stopwatch predict_score_timer;
   const auto predicted = session.PredictMpjps(14);
   auto scored_or = session.ScoreCandidates(predicted, 14);
+  const double predict_score_seconds = predict_score_timer.ElapsedSeconds();
   if (!scored_or.ok()) {
     std::fprintf(stderr, "%s\n", scored_or.status().ToString().c_str());
     return 1;
@@ -164,15 +168,18 @@ int main() {
       std::exit(1);
     }
     const double total = RunSuite(&session, queries, true, nullptr);
-    // Caching overhead amortizes over every query of the day that shares
-    // the cache; the paper reports ~1.7% of execution time per query. Here
-    // each path is hit by 2 scheduled runs/day of its query.
+    // The midnight's cost (predict + score + build) amortizes over every
+    // query of the day that shares the cache; the paper reports ~1.7% of
+    // execution time per query. Here each path is hit by 2 scheduled
+    // runs/day of its query.
+    const double midnight_seconds =
+        predict_score_seconds + stats->total_seconds;
     const double overhead_share =
-        stats->total_seconds / std::max(1e-9, 2 * 10 * no_cache_total);
-    std::printf("%-22s %12.1f %12.2f %8.1fx   (caching %.2fs, %4.1f%% of "
+        midnight_seconds / std::max(1e-9, 2 * 10 * no_cache_total);
+    std::printf("%-22s %12.1f %12.2f %8.1fx   (midnight %.2fs, %4.1f%% of "
                 "daily work)\n",
                 label.c_str(), static_cast<double>(budget) / (1 << 20),
-                total, no_cache_total / total, stats->total_seconds,
+                total, no_cache_total / total, midnight_seconds,
                 overhead_share * 100);
     table_v.push_back(Row{label, total, CachedPerQuery(queries, selected)});
     return total;
@@ -317,6 +324,7 @@ int main() {
   std::ofstream json("BENCH_cache.json", std::ios::trunc);
   json << "{\n  \"bench\": \"fig11_cache_sweep\",\n";
   json << "  \"no_cache_total_seconds\": " << no_cache_total << ",\n";
+  json << "  \"predict_score_seconds\": " << predict_score_seconds << ",\n";
   json << "  \"scoring_total_seconds\": {";
   bool first = true;
   for (const auto& [fraction, total] : scoring_total) {

@@ -149,17 +149,18 @@ int main() {
   // --- On-demand tier: path-count sweep -----------------------------------
   // Same records, growing path sets. Three uncached extraction strategies:
   //   dom_per_path  k independent GetJsonObject calls (one full DOM parse
-  //                 each — what the engine's raw fallback did before the
-  //                 on-demand tier),
-  //   dom_once      one DOM parse, k path evaluations over the tree,
-  //   ondemand      one validated structural tape (ExtractAll), k
-  //                 forward-only cursors that skip unrequested siblings
-  //                 without materializing them,
+  //                 each — the engine with the on-demand tier off),
+  //   dom_once      one DOM parse, k path evaluations over the tree (the
+  //                 cache build's and the corruption fallback's
+  //                 PathExtractor),
   //   ondemand_memo k Extract calls on one parser — the engine's
   //                 get_json_object path, where the parser's one-record
-  //                 memo lets the k calls share the record's tape.
+  //                 memo lets the k calls share one validated structural
+  //                 tape, each call a forward-only cursor that skips
+  //                 unrequested siblings without materializing them.
   // The crossover is the smallest k where dom_once catches up with the
-  // on-demand tier; 0 means it never did.
+  // on-demand tier; 0 means it never did. The skipped fraction is the
+  // share of each call's record bytes its cursor skipped.
   std::printf("\nOn-demand sweep: extracting k paths per record "
               "(uncached, 40-property ~2KB records)\n");
   maxson::workload::JsonTableSpec sweep_spec;
@@ -181,13 +182,12 @@ int main() {
     int paths = 0;
     double dom_per_path_ms = 0;
     double dom_once_ms = 0;
-    double ondemand_ms = 0;
     double ondemand_memo_ms = 0;
     double skipped_fraction = 0;
   };
   std::vector<SweepPoint> sweep;
-  std::printf("%5s | %12s %10s %10s %10s | %s\n", "paths", "dom-per-path",
-              "dom-once", "on-demand", "k-extract", "bytes skipped");
+  std::printf("%5s | %12s %10s %10s | %s\n", "paths", "dom-per-path",
+              "dom-once", "k-extract", "bytes skipped");
   for (const int k : {1, 2, 3, 4, 6, 8}) {
     std::vector<maxson::json::JsonPath> paths;
     for (int p = 0; p < k; ++p) {
@@ -201,7 +201,7 @@ int main() {
     }
     SweepPoint point;
     point.paths = k;
-    size_t checksum_a = 0, checksum_b = 0, checksum_c = 0, checksum_d = 0;
+    size_t checksum_a = 0, checksum_b = 0, checksum_c = 0;
 
     maxson::Stopwatch per_path_timer;
     for (const std::string& doc : docs) {
@@ -225,43 +225,31 @@ int main() {
     }
     point.dom_once_ms = once_timer.ElapsedSeconds() * 1e3;
 
-    maxson::json::OndemandParser ondemand;
-    maxson::Stopwatch ondemand_timer;
-    for (const std::string& doc : docs) {
-      std::vector<maxson::Result<std::string>> values;
-      if (!ondemand.ExtractAll(doc, paths, &values).ok()) continue;
-      for (const auto& v : values) {
-        if (v.ok()) checksum_c += v->size();
-      }
-    }
-    point.ondemand_ms = ondemand_timer.ElapsedSeconds() * 1e3;
-    point.skipped_fraction =
-        static_cast<double>(ondemand.skipped_bytes()) /
-        static_cast<double>(doc_bytes);
-
     maxson::json::OndemandParser memo;
     maxson::Stopwatch memo_timer;
     for (const std::string& doc : docs) {
       for (const auto& path : paths) {
         auto v = memo.Extract(doc, path);
-        if (v.ok()) checksum_d += v->size();
+        if (v.ok()) checksum_c += v->size();
       }
     }
     point.ondemand_memo_ms = memo_timer.ElapsedSeconds() * 1e3;
-    if (checksum_a != checksum_b || checksum_b != checksum_c ||
-        checksum_c != checksum_d) {
-      std::fprintf(stderr, "extraction mismatch at k=%d (%zu/%zu/%zu/%zu)\n",
-                   k, checksum_a, checksum_b, checksum_c, checksum_d);
+    point.skipped_fraction =
+        static_cast<double>(memo.skipped_bytes()) /
+        (static_cast<double>(doc_bytes) * k);
+    if (checksum_a != checksum_b || checksum_b != checksum_c) {
+      std::fprintf(stderr, "extraction mismatch at k=%d (%zu/%zu/%zu)\n", k,
+                   checksum_a, checksum_b, checksum_c);
       return 1;
     }
-    std::printf("%5d | %10.1fms %8.1fms %8.1fms %8.1fms | %4.0f%%\n", k,
-                point.dom_per_path_ms, point.dom_once_ms, point.ondemand_ms,
+    std::printf("%5d | %10.1fms %8.1fms %8.1fms | %4.0f%%\n", k,
+                point.dom_per_path_ms, point.dom_once_ms,
                 point.ondemand_memo_ms, point.skipped_fraction * 100);
     sweep.push_back(point);
   }
   int crossover = 0;  // 0 = on-demand won at every measured path count
   for (const SweepPoint& p : sweep) {
-    if (p.dom_once_ms < p.ondemand_ms) {
+    if (p.dom_once_ms < p.ondemand_memo_ms) {
       crossover = p.paths;
       break;
     }
@@ -292,7 +280,6 @@ int main() {
     const SweepPoint& p = sweep[i];
     json << "      {\"paths\": " << p.paths << ", \"dom_per_path_ms\": "
          << p.dom_per_path_ms << ", \"dom_once_ms\": " << p.dom_once_ms
-         << ", \"ondemand_ms\": " << p.ondemand_ms
          << ", \"ondemand_memo_ms\": " << p.ondemand_memo_ms
          << ", \"skipped_fraction\": " << p.skipped_fraction << "}"
          << (i + 1 < sweep.size() ? "," : "") << "\n";

@@ -4,7 +4,8 @@
 // in the noise (<5% of query time).
 //
 // Writes BENCH_observability.json with the measured medians and the
-// overhead of tracing on vs off.
+// overhead of tracing on vs off: the median of paired relative differences
+// over alternating off/on runs.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,22 +25,30 @@ using maxson::workload::BenchmarkQuery;
 
 namespace {
 
-/// Median wall seconds of `repeats` executions of `sql`.
-double MedianSeconds(MaxsonSession* session, const std::string& sql,
-                     int repeats) {
-  std::vector<double> times;
-  times.reserve(repeats);
-  for (int i = 0; i < repeats; ++i) {
-    maxson::Stopwatch timer;
-    auto result = session->Execute(sql);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      std::exit(1);
-    }
-    times.push_back(timer.ElapsedSeconds());
+/// Wall seconds of one execution of `sql` with tracing switched to
+/// `tracing` beforehand (the switch itself is not timed).
+double TimedRun(MaxsonSession* session, const std::string& sql, bool tracing) {
+  maxson::core::SessionUpdate update;
+  update.tracing = tracing;
+  if (auto st = session->UpdateConfig(update); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    std::exit(1);
   }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  maxson::Stopwatch timer;
+  auto result = session->Execute(sql);
+  const double seconds = timer.ElapsedSeconds();
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return seconds;
+}
+
+/// The value at quantile `q` (nearest rank) of `values`.
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double rank = q * static_cast<double>(values.size() - 1);
+  return values[static_cast<size_t>(rank + 0.5)];
 }
 
 }  // namespace
@@ -93,38 +102,50 @@ int main() {
     return 1;
   }
 
+  // Paired design: each pair runs the query once with tracing off and once
+  // with it on, back to back, and the gate decides on the median of the
+  // pairs' relative differences, so host drift over the run cancels within
+  // each pair instead of reading as overhead. Which side runs first
+  // alternates between pairs.
   const std::string& sql = queries[0].sql;
-  const int kRepeats = 31;
-  MedianSeconds(&session, sql, 5);  // warm up page cache and code paths
-
-  const double off_s = MedianSeconds(&session, sql, kRepeats);
-
-  maxson::core::SessionUpdate enable_tracing;
-  enable_tracing.tracing = true;
-  if (auto st = session.UpdateConfig(enable_tracing); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
+  const int kPairs = 31;
+  for (int i = 0; i < 6; ++i) TimedRun(&session, sql, i % 2 == 1);  // warm up
+  std::vector<double> off_runs, on_runs, diffs_pct;
+  for (int i = 0; i < kPairs; ++i) {
+    const bool on_first = i % 2 == 1;
+    const double first = TimedRun(&session, sql, on_first);
+    const double second = TimedRun(&session, sql, !on_first);
+    const double off_s = on_first ? second : first;
+    const double on_s = on_first ? first : second;
+    off_runs.push_back(off_s);
+    on_runs.push_back(on_s);
+    diffs_pct.push_back(off_s <= 0 ? 0 : (on_s - off_s) / off_s * 100.0);
+    session.ClearTrace();
   }
-  const double on_s = MedianSeconds(&session, sql, kRepeats);
-  session.ClearTrace();
-
-  const double overhead_pct = off_s <= 0 ? 0 : (on_s - off_s) / off_s * 100.0;
+  const double off_s = Quantile(off_runs, 0.5);
+  const double on_s = Quantile(on_runs, 0.5);
+  const double overhead_pct = Quantile(diffs_pct, 0.5);
+  const double q1_pct = Quantile(diffs_pct, 0.25);
+  const double q3_pct = Quantile(diffs_pct, 0.75);
   const bool pass = overhead_pct < 5.0;
-  std::printf("Q2 cached, median of %d runs:\n", kRepeats);
-  std::printf("  metrics only (tracing off): %8.2f ms\n", off_s * 1e3);
-  std::printf("  metrics + trace spans:      %8.2f ms\n", on_s * 1e3);
-  std::printf("  tracing overhead:           %+7.1f%%  (budget <5%%: %s)\n",
-              overhead_pct, pass ? "PASS" : "FAIL");
+  std::printf("Q2 cached, %d alternating off/on pairs:\n", kPairs);
+  std::printf("  metrics only (tracing off): %8.2f ms median\n", off_s * 1e3);
+  std::printf("  metrics + trace spans:      %8.2f ms median\n", on_s * 1e3);
+  std::printf("  tracing overhead:           %+7.1f%%  paired median, "
+              "quartiles %+.1f%% .. %+.1f%%  (budget <5%%: %s)\n",
+              overhead_pct, q1_pct, q3_pct, pass ? "PASS" : "FAIL");
   std::printf("  counter series published:   %zu\n",
               registry.CounterTotals().size());
 
   std::ofstream json("BENCH_observability.json", std::ios::trunc);
   json << "{\n  \"bench\": \"observability_overhead\",\n"
        << "  \"query\": \"Q2\",\n"
-       << "  \"repeats\": " << kRepeats << ",\n"
+       << "  \"pairs\": " << kPairs << ",\n"
        << "  \"tracing_off_ms\": " << off_s * 1e3 << ",\n"
        << "  \"tracing_on_ms\": " << on_s * 1e3 << ",\n"
        << "  \"overhead_percent\": " << overhead_pct << ",\n"
+       << "  \"overhead_q1_percent\": " << q1_pct << ",\n"
+       << "  \"overhead_q3_percent\": " << q3_pct << ",\n"
        << "  \"budget_percent\": 5.0,\n"
        << "  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
   json.close();

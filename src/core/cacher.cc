@@ -6,9 +6,7 @@
 #include <optional>
 
 #include "common/time_util.h"
-#include "json/json_path.h"
-#include "json/mison_parser.h"
-#include "xml/xml_path.h"
+#include "engine/path_extractor.h"
 #include "storage/corc_reader.h"
 #include "storage/corc_writer.h"
 #include "storage/file_system.h"
@@ -50,98 +48,51 @@ Result<TableSample> SampleTablePaths(const catalog::TableInfo& table,
   MAXSON_ASSIGN_OR_RETURN(
       storage::RecordBatch batch,
       reader.ReadStripe(0, {column_index}, std::nullopt, nullptr));
-  std::vector<const std::string*> records;
+
+  // Each non-null record loads once — the DOM backend's one shared parse,
+  // charged to every path that reads it — and then renders each path,
+  // timed on its own: P_j is the cost of one get_json_object call.
+  engine::PathExtractor extractor(paths, backend);
+  std::vector<uint64_t> bytes(paths.size(), 0);
+  std::vector<double> seconds(paths.size(), 0.0);
+  const auto elapsed = [](MonotonicTime from, MonotonicTime to) {
+    return std::chrono::duration<double>(to - from).count();
+  };
+  double load_seconds = 0.0;
+  uint64_t records = 0;
   const size_t limit = std::min(sample_rows, batch.num_rows());
   for (size_t r = 0; r < limit; ++r) {
-    if (!batch.column(0).IsNull(r)) {
-      records.push_back(&batch.column(0).GetString(r));
-    }
-  }
-
-  struct Probe {
-    Status status;
-    bool is_xml = false;
-    bool shared = false;  // evaluates against the shared DOM
-    json::JsonPath parsed;
-    xml::XmlPath xpath;
-    uint64_t bytes = 0;
-    double seconds = 0.0;
-  };
-  std::vector<Probe> probes(paths.size());
-  bool any_shared = false;
-  for (size_t i = 0; i < paths.size(); ++i) {
-    Probe& p = probes[i];
-    p.is_xml = xml::IsXmlPathText(paths[i]);
-    if (p.is_xml) {
-      auto parsed = xml::XmlPath::Parse(paths[i]);
-      p.status = parsed.status();
-      if (parsed.ok()) p.xpath = std::move(*parsed);
-    } else {
-      auto parsed = json::JsonPath::Parse(paths[i]);
-      p.status = parsed.status();
-      if (parsed.ok()) p.parsed = std::move(*parsed);
-    }
-    p.shared = p.status.ok() && !p.is_xml &&
-               backend != engine::JsonBackend::kMison;
-    any_shared |= p.shared;
-  }
-
-  // Mison's speculation and XPath evaluation work per path: each runs its
-  // own pass over the shared records.
-  for (Probe& p : probes) {
-    if (!p.status.ok() || p.shared) continue;
-    json::MisonParser mison;
-    Stopwatch timer;
-    for (const std::string* text : records) {
-      Result<std::string> value = p.is_xml ? xml::GetXmlObject(*text, p.xpath)
-                                           : mison.Extract(*text, p.parsed);
-      if (value.ok()) p.bytes += value->size();
-    }
-    p.seconds = timer.ElapsedSeconds();
-  }
-  // DOM: one parse per record, charged to every JSONPath, then each path's
-  // own evaluate and render.
-  if (any_shared) {
-    const auto seconds = [](MonotonicTime from, MonotonicTime to) {
-      return std::chrono::duration<double>(to - from).count();
-    };
-    double parse_seconds = 0.0;
-    for (const std::string* text : records) {
-      MonotonicTime lap = MonotonicNow();
-      const Result<json::JsonValue> root = json::ParseJson(*text);
-      MonotonicTime now = MonotonicNow();
-      parse_seconds += seconds(lap, now);
-      for (Probe& p : probes) {
-        if (!p.shared) continue;
-        const json::JsonValue* node =
-            root.ok() ? p.parsed.Evaluate(*root) : nullptr;
-        if (node != nullptr) {
-          p.bytes += json::RenderGetJsonObjectResult(*node).size();
-        }
-        lap = now;
-        now = MonotonicNow();
-        p.seconds += seconds(lap, now);
-      }
-    }
-    for (Probe& p : probes) {
-      if (p.shared) p.seconds += parse_seconds;
+    if (batch.column(0).IsNull(r)) continue;
+    ++records;
+    MonotonicTime lap = MonotonicNow();
+    extractor.Load(batch.column(0).GetString(r));
+    MonotonicTime now = MonotonicNow();
+    load_seconds += elapsed(lap, now);
+    for (size_t i = 0; i < paths.size(); ++i) {
+      const Result<std::string> value = extractor.Extract(i);
+      if (value.ok()) bytes[i] += value->size();
+      lap = now;
+      now = MonotonicNow();
+      seconds[i] += elapsed(lap, now);
     }
   }
 
   TableSample sample;
-  sample.records_sampled = records.size();
-  for (const Probe& p : probes) {
-    if (!p.status.ok()) {
-      sample.paths.emplace_back(p.status);
+  sample.records_sampled = records;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    if (!extractor.status(i).ok()) {
+      sample.paths.emplace_back(extractor.status(i));
       continue;
     }
     SampledPathStats stats;
     stats.table_rows = table_rows;
-    if (!records.empty()) {
-      const double measured = static_cast<double>(records.size());
+    if (records > 0) {
+      const double measured = static_cast<double>(records);
       stats.avg_value_bytes =
-          std::max(1.0, static_cast<double>(p.bytes) / measured);
-      stats.avg_parse_seconds = p.seconds / measured;
+          std::max(1.0, static_cast<double>(bytes[i]) / measured);
+      stats.avg_parse_seconds =
+          (seconds[i] + (extractor.reads_dom(i) ? load_seconds : 0.0)) /
+          measured;
     }
     stats.estimated_cache_bytes = static_cast<uint64_t>(
         stats.avg_value_bytes * static_cast<double>(table_rows));
@@ -173,68 +124,89 @@ Status JsonPathCacher::CacheTablePaths(
   MAXSON_RETURN_NOT_OK(FileSystem::RemoveAll(staging_dir));
   MAXSON_RETURN_NOT_OK(FileSystem::MakeDirs(staging_dir));
 
-  // Immutable once built: split tasks read the work list concurrently, so
+  // Fields are ordered by name, not by selection order, so one set of
+  // paths gives one cache schema and byte-identical files however the
+  // selection listed them. Each distinct source column gets one extractor
+  // over its paths; work[i].source and .path locate field i's (extractor,
+  // path). Immutable once built: split tasks read it concurrently, so
   // nothing split-specific (like resolved column indexes) may live here.
   struct PathWork {
     workload::JsonPathLocation location;
-    bool is_xml = false;   // XPath ('/..') vs JSONPath ('$..')
-    json::JsonPath parsed;
-    xml::XmlPath xpath;
     std::string field;
     TypeKind type = TypeKind::kString;
+    size_t source = 0;
+    size_t path = 0;
   };
   std::vector<PathWork> work;
   for (const workload::JsonPathLocation& loc : paths) {
-    PathWork w;
-    w.location = loc;
-    w.is_xml = xml::IsXmlPathText(loc.path);
-    if (w.is_xml) {
-      MAXSON_ASSIGN_OR_RETURN(w.xpath, xml::XmlPath::Parse(loc.path));
-    } else {
-      MAXSON_ASSIGN_OR_RETURN(w.parsed, json::JsonPath::Parse(loc.path));
+    work.push_back({loc, CacheFieldName(loc.column, loc.path)});
+  }
+  std::stable_sort(work.begin(), work.end(),
+                   [](const PathWork& a, const PathWork& b) {
+                     return a.field < b.field;
+                   });
+  std::vector<std::string> columns;
+  std::vector<std::vector<std::string>> column_paths;
+  for (PathWork& w : work) {
+    w.source = static_cast<size_t>(
+        std::find(columns.begin(), columns.end(), w.location.column) -
+        columns.begin());
+    if (w.source == columns.size()) {
+      columns.push_back(w.location.column);
+      column_paths.emplace_back();
     }
-    w.field = CacheFieldName(loc.column, loc.path);
-    work.push_back(std::move(w));
+    w.path = column_paths[w.source].size();
+    column_paths[w.source].push_back(w.location.path);
+  }
+  std::vector<engine::PathExtractor> extractors;
+  for (const std::vector<std::string>& texts : column_paths) {
+    extractors.emplace_back(texts, backend_);
+    for (size_t k = 0; k < texts.size(); ++k) {
+      MAXSON_RETURN_NOT_OK(extractors.back().status(k));
+    }
   }
 
   // Type inference pass: sample the first split and store numeric JSONPath
   // values in typed columns, so the cache table's row-group min/max indexes
   // order numerically and SARGs like `id > 10000` (Fig. 10) can skip row
-  // groups correctly. Values that are not uniformly numeric stay strings.
-  // Each source column's first stripe is read once and each of its first
+  // groups correctly. The types come from the DOM nodes the build's own
+  // values render from; values that are not uniformly numeric stay
+  // strings, and so does every path that reads no DOM: XML text content
+  // and Mison's raw value text, which a typed column would re-render. Each
+  // source column's first stripe is read once and each of its first
   // kTypeInferenceRows records parsed once for every path still numeric;
   // the pass stops early once all of them turned out strings.
   {
-    struct Inference {
-      PathWork* work;
-      bool all_int = true;
-      bool all_double = true;
-      bool any_value = false;
-    };
-    std::map<std::string, std::vector<Inference>> by_column;
-    for (PathWork& w : work) {
-      // XML values stay strings (text content).
-      if (!w.is_xml) by_column[w.location.column].push_back({&w});
-    }
     CorcReader sample_reader(splits[0].path);
     MAXSON_RETURN_NOT_OK(sample_reader.Open());
     uint64_t records_sampled = 0;
-    for (auto& [column, pending] : by_column) {
-      const int idx = sample_reader.schema().FindField(column);
-      if (idx < 0) continue;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      engine::PathExtractor dom = extractors[c];
+      struct Inference {
+        bool all_int = true;
+        bool all_double = true;
+        bool any_value = false;
+      };
+      std::vector<Inference> infer(dom.size());
+      size_t numeric = 0;
+      for (size_t k = 0; k < dom.size(); ++k) {
+        infer[k].all_double = dom.reads_dom(k);
+        if (dom.reads_dom(k)) ++numeric;
+      }
+      const int idx = sample_reader.schema().FindField(columns[c]);
+      if (idx < 0 || numeric == 0) continue;
       MAXSON_ASSIGN_OR_RETURN(
           storage::RecordBatch batch,
           sample_reader.ReadStripe(0, {idx}, std::nullopt, nullptr));
-      size_t numeric = pending.size();
       const size_t limit = std::min(batch.num_rows(), kTypeInferenceRows);
       for (size_t r = 0; r < limit && numeric > 0; ++r) {
         if (batch.column(0).IsNull(r)) continue;
-        auto dom = json::ParseJson(batch.column(0).GetString(r));
+        dom.Load(batch.column(0).GetString(r));
         ++records_sampled;
-        if (!dom.ok()) continue;
-        for (Inference& p : pending) {
+        for (size_t k = 0; k < dom.size(); ++k) {
+          Inference& p = infer[k];
           if (!p.all_double) continue;
-          const json::JsonValue* node = p.work->parsed.Evaluate(*dom);
+          const json::JsonValue* node = dom.Node(k);
           if (node == nullptr) continue;
           p.any_value = true;
           if (!node->is_int()) p.all_int = false;
@@ -244,11 +216,13 @@ Status JsonPathCacher::CacheTablePaths(
           }
         }
       }
-      for (const Inference& p : pending) {
+      for (PathWork& w : work) {
+        if (w.source != c) continue;
+        const Inference& p = infer[w.path];
         if (p.any_value && p.all_int) {
-          p.work->type = TypeKind::kInt64;
+          w.type = TypeKind::kInt64;
         } else if (p.any_value && p.all_double) {
-          p.work->type = TypeKind::kDouble;
+          w.type = TypeKind::kDouble;
         }
       }
     }
@@ -260,9 +234,9 @@ Status JsonPathCacher::CacheTablePaths(
   }
 
   // One task per split: each owns its reader, writer, column resolution,
-  // speculative parser, and stats partial, so split pre-parsing fans out
-  // on the shared pool with no shared mutable state. Partials merge in
-  // split order below, keeping the stats totals deterministic.
+  // extractors, and stats partial, so split pre-parsing fans out on the
+  // shared pool with no shared mutable state. Partials merge in split
+  // order below, keeping the stats totals deterministic.
   std::vector<CachingStats> split_stats(splits.size());
   Status build_status = exec::ParallelFor(
       pool_.get(), splits.size(), [&](size_t split_i) -> Status {
@@ -272,27 +246,17 @@ Status JsonPathCacher::CacheTablePaths(
         CorcReader reader(split.path);
         MAXSON_RETURN_NOT_OK(reader.Open());
         // Resolve source column indexes within this file (per split: part
-        // files may order their fields differently).
+        // files may order their fields differently); batch slot c holds
+        // columns[c].
         std::vector<int> source_columns;
-        source_columns.reserve(work.size());
-        for (const PathWork& w : work) {
-          const int idx = reader.schema().FindField(w.location.column);
+        source_columns.reserve(columns.size());
+        for (const std::string& column : columns) {
+          const int idx = reader.schema().FindField(column);
           if (idx < 0) {
-            return Status::NotFound("column " + w.location.column +
-                                    " missing in " + split.path);
+            return Status::NotFound("column " + column + " missing in " +
+                                    split.path);
           }
           source_columns.push_back(idx);
-        }
-        // Deduplicate source columns for the read; work_slot[wi] is the
-        // batch slot holding path wi's source column.
-        std::vector<int> unique_columns;
-        std::vector<size_t> work_slot;
-        work_slot.reserve(work.size());
-        for (int c : source_columns) {
-          auto it = std::find(unique_columns.begin(), unique_columns.end(), c);
-          work_slot.push_back(
-              static_cast<size_t>(it - unique_columns.begin()));
-          if (it == unique_columns.end()) unique_columns.push_back(c);
         }
 
         // The cache file mirrors the raw file: same index in the sorted
@@ -306,45 +270,30 @@ Status JsonPathCacher::CacheTablePaths(
             cache_schema, options);
         MAXSON_RETURN_NOT_OK(writer.Open());
 
-        json::MisonParser mison;
-        // Parse each source JSON column once per row and evaluate every
-        // requested path against it (the whole point of pre-parsing is to
-        // pay the deserialization once). Per-slot DOMs and the row buffer
-        // are reused across rows.
-        std::vector<std::optional<Result<json::JsonValue>>> doms(
-            unique_columns.size());
+        // Each source column's record loads once per row and every path
+        // derived from it reads that load (the whole point of pre-parsing
+        // is to pay the deserialization once).
+        std::vector<engine::PathExtractor> split_extractors = extractors;
         std::vector<Value> row;
         row.reserve(work.size());
         for (size_t s = 0; s < reader.num_stripes(); ++s) {
           MAXSON_ASSIGN_OR_RETURN(
               storage::RecordBatch batch,
-              reader.ReadStripe(s, unique_columns, std::nullopt, nullptr));
+              reader.ReadStripe(s, source_columns, std::nullopt, nullptr));
           Stopwatch parse_timer;
           for (size_t r = 0; r < batch.num_rows(); ++r) {
-            for (auto& dom : doms) dom.reset();
-            row.clear();
-            for (size_t wi = 0; wi < work.size(); ++wi) {
-              const PathWork& w = work[wi];
-              const size_t slot = work_slot[wi];
-              if (batch.column(slot).IsNull(r)) {
-                row.push_back(Value::Null());
-                continue;
+            for (size_t c = 0; c < columns.size(); ++c) {
+              if (!batch.column(c).IsNull(r)) {
+                split_extractors[c].Load(batch.column(c).GetString(r));
               }
-              const std::string& text = batch.column(slot).GetString(r);
+            }
+            row.clear();
+            for (const PathWork& w : work) {
+              // A NULL record or an absent path is cached as NULL,
+              // matching get_json_object's NULL-on-missing semantics.
               Result<std::string> value = Status::NotFound("");
-              if (w.is_xml) {
-                value = xml::GetXmlObject(text, w.xpath);
-              } else if (backend_ == engine::JsonBackend::kMison) {
-                value = mison.Extract(text, w.parsed);
-              } else {
-                std::optional<Result<json::JsonValue>>& dom = doms[slot];
-                if (!dom.has_value()) dom.emplace(json::ParseJson(text));
-                if (dom->ok()) {
-                  const json::JsonValue* node = w.parsed.Evaluate(**dom);
-                  if (node != nullptr) {
-                    value = json::RenderGetJsonObjectResult(*node);
-                  }
-                }
+              if (!batch.column(w.source).IsNull(r)) {
+                value = split_extractors[w.source].Extract(w.path);
               }
               if (value.ok()) {
                 if (split_out != nullptr) {
@@ -352,8 +301,6 @@ Status JsonPathCacher::CacheTablePaths(
                 }
                 row.push_back(Value::String(std::move(*value)));
               } else {
-                // Absent path: cached as NULL, matching get_json_object's
-                // NULL-on-missing semantics.
                 row.push_back(Value::Null());
               }
             }

@@ -39,13 +39,14 @@ struct TableSample {
 };
 
 /// Reads stripe 0 of the table's first split once and measures every path
-/// of `paths` over up to `sample_rows` of its `column` records. With the
-/// DOM backend each record is parsed once and every JSONPath evaluates and
-/// renders against that DOM: P_j is the shared parse time plus the path's
-/// own evaluate-and-render time per record, the cost of one GetJsonObject
-/// call. Mison extracts (and XPaths evaluate) per path over the same
-/// records. Table-level failures (no splits, missing column, unreadable
-/// stripe) fail the whole call.
+/// of `paths` over up to `sample_rows` of its `column` records through one
+/// engine::PathExtractor, the one the cache build writes through. Each
+/// record loads once; with the DOM backend that is one parse every
+/// JSONPath evaluates and renders against, so P_j is the shared parse time
+/// plus the path's own evaluate-and-render time per record, the cost of
+/// one GetJsonObject call. Mison extractions and XPaths are charged their
+/// own time only. Table-level failures (no splits, missing column,
+/// unreadable stripe) fail the whole call.
 Result<TableSample> SampleTablePaths(const catalog::TableInfo& table,
                                      const std::string& column,
                                      const std::vector<std::string>& paths,
@@ -98,10 +99,11 @@ struct CachingStats {
 /// same row counts, same row-group size — so the engine's dual readers can
 /// align rows by split index and share row-group skips. All MPJPs of one
 /// raw table land in one cache table; fields are named after the column
-/// and JSONPath; the registry is updated with cache_time = `cache_time`.
+/// and JSONPath and ordered by that name; the registry is updated with
+/// cache_time = `cache_time`.
 ///
 /// Splits pre-parse in parallel on the session's shared pool (set_pool);
-/// each split task owns its reader, writer, speculative parser, and stats,
+/// each split task owns its reader, writer, path extractors, and stats,
 /// so tasks share nothing but the immutable path work list. Without a pool
 /// splits run sequentially, matching the single-threaded cacher exactly.
 class JsonPathCacher {

@@ -335,7 +335,7 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
   ExecContext exec_ctx;
   exec_ctx.plan_seconds = plan_seconds;
   exec_ctx.pool = pool_.get();
-  exec_ctx.enable_ondemand = config_.enable_ondemand;
+  exec_ctx.json_backend = config_.json_backend;
   exec_ctx.morsel_rows = config_.morsel_rows;
   if (config_.enable_shared_scan) {
     exec_ctx.shared_scan = shared_scan_.get();

@@ -11,6 +11,7 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "engine/exec_context.h"
+#include "engine/path_extractor.h"
 #include "engine/plan.h"
 #include "engine/plan_validator.h"
 #include "exec/thread_pool.h"
@@ -28,11 +29,6 @@ class TraceRecorder;
 
 namespace maxson::engine {
 
-/// Which JSON parser backs get_json_object, mirroring the paper's Fig. 15
-/// configurations: kDom = Spark+Jackson (full deserialization), kMison =
-/// Spark+Mison (structural-index projection).
-enum class JsonBackend { kDom, kMison };
-
 struct EngineConfig {
   JsonBackend json_backend = JsonBackend::kDom;
   std::string default_database = "default";
@@ -42,9 +38,8 @@ struct EngineConfig {
   /// opt-in because exotic escape-encoded data could defeat the needle.
   bool enable_raw_filter = false;
   /// On-demand parsing tier (json/ondemand_parser.h): under the kDom
-  /// backend, uncached get_json_object extraction and the corruption
-  /// re-derive path resolve paths by cursoring a SIMD structural tape
-  /// instead of materializing the whole DOM. The tape of a row's record is
+  /// backend, uncached get_json_object calls resolve paths by cursoring a
+  /// SIMD structural tape instead of materializing the whole DOM. The tape of a row's record is
   /// built once and shared by the row's get_json_object calls. Every tape
   /// build validates the record with the DOM parser's own grammar, so
   /// results are byte-identical to DOM on every input; a record it rejects

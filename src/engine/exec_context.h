@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "engine/path_extractor.h"
+
 namespace maxson::exec {
 class SharedScanManager;
 class ThreadPool;
@@ -38,9 +40,10 @@ struct ExecContext {
   /// Target rows per scan morsel; 0 = one morsel per split (the paper's
   /// one-file-one-split granularity).
   size_t morsel_rows = 0;
-  /// Route uncached JSON extraction through the on-demand parsing tier;
-  /// set from EngineConfig::enable_ondemand.
-  bool enable_ondemand = true;
+  /// The parser the corruption fallback re-derives cache columns with:
+  /// the engine's get_json_object backend, so re-derived rows equal an
+  /// uncached run's.
+  JsonBackend json_backend = JsonBackend::kDom;
   /// Cooperative cancellation: checked between morsels and between
   /// operators, never mid-pass. Null = uncancellable.
   const std::atomic<bool>* cancel = nullptr;

@@ -1,18 +1,16 @@
 #include "engine/table_scan.h"
 
-#include <map>
+#include <algorithm>
 #include <optional>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/time_util.h"
+#include "engine/path_extractor.h"
 #include "engine/planner.h"
 #include "exec/shared_scan.h"
-#include "json/json_path.h"
-#include "json/ondemand_parser.h"
 #include "storage/corc_reader.h"
 #include "storage/file_system.h"
-#include "xml/xml_path.h"
 
 namespace maxson::engine {
 
@@ -67,10 +65,9 @@ SearchArgument ReconcileSargWithSchema(const SearchArgument& sarg,
 struct ScanSpec {
   std::vector<std::string> raw_columns;
   std::vector<CacheColumnRequest> cache_columns;
-  /// Re-derive JSON columns through the on-demand parsing tier rather
-  /// than one DOM parse per record; copied from
-  /// ExecContext::enable_ondemand.
-  bool enable_ondemand = true;
+  /// Backend the corruption fallback re-derives cache columns with; copied
+  /// from ExecContext::json_backend.
+  JsonBackend json_backend = JsonBackend::kDom;
 };
 
 /// Appends every cell of `src` to `dst`: the whole column when the types
@@ -296,10 +293,11 @@ Status ScanSplitCached(const ScanSpec& spec,
 
 /// Degraded-mode scan of one stripe range: the cache file is unusable, so
 /// every requested cache column is re-derived by parsing the raw string
-/// column it was originally extracted from — exactly what the query would
-/// have done with caching disabled, so the rows are byte-identical either
-/// way. Only possible when the spec carries the source column/path of every
-/// cache column (MaxsonParser always fills them).
+/// column it was originally extracted from, through the PathExtractor the
+/// cache build writes through — exactly what the query would have done with
+/// caching disabled, so the rows are byte-identical either way. Only
+/// possible when the spec carries the source column/path of every cache
+/// column (MaxsonParser always fills them).
 Status ScanSplitRawFallback(const ScanSpec& spec,
                             const std::vector<SargPair>& predicates,
                             const std::string& path,
@@ -308,90 +306,64 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
   CorcReader primary(path);
   MAXSON_RETURN_NOT_OK(primary.Open());
 
-  std::vector<int> raw_indexes;
-  raw_indexes.reserve(spec.raw_columns.size());
+  // Read raw + source columns together (deduplicated): read_columns[c] is
+  // batch slot c. Each distinct source column gets one extractor over the
+  // paths derived from it; source_of[i] and path_of[i] locate cache
+  // column i's (extractor, path).
+  std::vector<int> read_columns;
+  read_columns.reserve(spec.raw_columns.size());
   for (const std::string& name : spec.raw_columns) {
     const int idx = primary.schema().FindField(name);
     if (idx < 0) {
       return Status::NotFound("column " + name + " missing in " + path);
     }
-    raw_indexes.push_back(idx);
+    read_columns.push_back(idx);
   }
-
-  // Resolve each cache column's source column and parse its path.
-  struct SourceWork {
-    int column = -1;  // index in the primary file schema
-    bool is_xml = false;
-    json::JsonPath json_path;
-    xml::XmlPath xml_path;
+  struct Source {
+    size_t slot = 0;
+    std::vector<std::string> paths;
   };
-  std::vector<SourceWork> sources;
-  sources.reserve(spec.cache_columns.size());
+  std::vector<Source> sources;
+  std::vector<size_t> source_of;
+  std::vector<size_t> path_of;
   for (const CacheColumnRequest& req : spec.cache_columns) {
-    SourceWork src;
-    src.column = primary.schema().FindField(req.source_column);
-    if (src.column < 0) {
+    const int column = primary.schema().FindField(req.source_column);
+    if (column < 0) {
       return Status::NotFound("fallback source column " + req.source_column +
                               " missing in " + path);
     }
-    src.is_xml = xml::IsXmlPathText(req.source_path);
-    if (src.is_xml) {
-      MAXSON_ASSIGN_OR_RETURN(src.xml_path,
-                              xml::XmlPath::Parse(req.source_path));
-    } else {
-      MAXSON_ASSIGN_OR_RETURN(src.json_path,
-                              json::JsonPath::Parse(req.source_path));
+    const size_t slot = static_cast<size_t>(
+        std::find(read_columns.begin(), read_columns.end(), column) -
+        read_columns.begin());
+    if (slot == read_columns.size()) read_columns.push_back(column);
+    size_t s = 0;
+    while (s < sources.size() && sources[s].slot != slot) ++s;
+    if (s == sources.size()) sources.push_back({slot, {}});
+    source_of.push_back(s);
+    path_of.push_back(sources[s].paths.size());
+    sources[s].paths.push_back(req.source_path);
+  }
+  std::vector<PathExtractor> extractors;
+  extractors.reserve(sources.size());
+  for (const Source& source : sources) {
+    extractors.emplace_back(source.paths, spec.json_backend);
+    for (size_t k = 0; k < source.paths.size(); ++k) {
+      MAXSON_RETURN_NOT_OK(extractors.back().status(k));
     }
-    sources.push_back(std::move(src));
   }
 
-  // Read raw + source columns together (deduplicated). Pruning uses the
-  // raw SARGs only (their disjunction across subscribers): the cache SARGs
-  // name cache fields, and the residual filters re-check every surviving
-  // row anyway.
-  std::vector<int> read_columns = raw_indexes;
-  std::map<int, size_t> slot_of;  // file column index -> batch slot
-  for (size_t c = 0; c < read_columns.size(); ++c) {
-    slot_of.emplace(read_columns[c], c);
-  }
-  for (const SourceWork& src : sources) {
-    if (slot_of.emplace(src.column, read_columns.size()).second) {
-      read_columns.push_back(src.column);
-    }
-  }
+  // Pruning uses the raw SARGs only (their disjunction across
+  // subscribers): the cache SARGs name cache fields, and the residual
+  // filters re-check every surviving row anyway.
   std::vector<SearchArgument> raw_sargs;
   raw_sargs.reserve(predicates.size());
   for (const SargPair& p : predicates) {
     raw_sargs.push_back(ReconcileSargWithSchema(p.first, primary.schema()));
   }
 
-  // Group the JSON-path sources by source column, so each record is
-  // parsed once per column however many paths derive from it: one tape
-  // pass (ExtractAll), or with the tier off or on its error, one DOM parse.
-  // XML sources stay on GetXmlObject, one parse per path.
-  struct JsonGroup {
-    size_t slot = 0;                 // batch slot of the source column
-    std::vector<size_t> source_idx;  // indexes into `sources`
-    std::vector<json::JsonPath> paths;
-  };
-  std::vector<JsonGroup> json_groups;
-  std::map<int, size_t> group_of;  // file column index -> group index
-  for (size_t i = 0; i < sources.size(); ++i) {
-    if (sources[i].is_xml) continue;
-    auto [it, inserted] =
-        group_of.emplace(sources[i].column, json_groups.size());
-    if (inserted) {
-      JsonGroup g;
-      g.slot = slot_of.at(sources[i].column);
-      json_groups.push_back(std::move(g));
-    }
-    json_groups[it->second].source_idx.push_back(i);
-    json_groups[it->second].paths.push_back(sources[i].json_path);
-  }
-  json::OndemandParser ondemand;
-
   const StripeRange stripes =
       range.value_or(StripeRange{0, primary.num_stripes()});
+  std::vector<storage::Value> row;
   for (size_t s = stripes.begin; s < stripes.end; ++s) {
     std::vector<bool> include;
     for (const SearchArgument& raw_sarg : raw_sargs) {
@@ -408,60 +380,26 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
                            metrics != nullptr ? &metrics->read : nullptr));
     Stopwatch parse_timer;
     for (size_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<storage::Value> row;
-      row.reserve(raw_indexes.size() + sources.size());
-      for (size_t c = 0; c < raw_indexes.size(); ++c) {
+      row.clear();
+      for (size_t c = 0; c < spec.raw_columns.size(); ++c) {
         row.push_back(batch.column(c).GetValue(r));
       }
-      // JSON columns: one parse per record per source column. A record
-      // neither tier accepts gives NULL in every path, as get_json_object.
-      std::vector<storage::Value> derived(sources.size());
-      for (const JsonGroup& g : json_groups) {
-        if (batch.column(g.slot).IsNull(r)) continue;
-        const std::string& text = batch.column(g.slot).GetString(r);
-        std::vector<Result<std::string>> values;
-        bool parsed = false;
-        if (spec.enable_ondemand) {
-          const uint64_t skipped_before = ondemand.skipped_bytes();
-          parsed = ondemand.ExtractAll(text, g.paths, &values).ok();
-          if (metrics != nullptr) {
-            if (parsed) {
-              ++metrics->ondemand_records;
-              metrics->ondemand_skipped_bytes +=
-                  ondemand.skipped_bytes() - skipped_before;
-            } else {
-              ++metrics->ondemand_fallbacks;
-            }
-          }
-        }
-        if (!parsed) {
-          parsed = json::GetJsonObjects(text, g.paths, &values).ok();
-        }
+      // One parse per record per source column, however many paths derive
+      // from it.
+      for (size_t i = 0; i < sources.size(); ++i) {
+        const storage::ColumnVector& column = batch.column(sources[i].slot);
+        if (column.IsNull(r)) continue;
+        extractors[i].Load(column.GetString(r));
         if (metrics != nullptr) {
           ++metrics->parse.records_parsed;
-          metrics->parse.bytes_parsed += text.size();
-        }
-        if (!parsed) continue;
-        for (size_t k = 0; k < g.source_idx.size(); ++k) {
-          // Absent path -> NULL, matching get_json_object and the cacher.
-          if (values[k].ok()) {
-            derived[g.source_idx[k]] =
-                storage::Value::String(std::move(*values[k]));
-          }
+          metrics->parse.bytes_parsed += column.GetString(r).size();
         }
       }
-      for (size_t i = 0; i < sources.size(); ++i) {
-        const SourceWork& src = sources[i];
-        const size_t slot = slot_of.at(src.column);
-        if (!src.is_xml || batch.column(slot).IsNull(r)) {
-          row.push_back(std::move(derived[i]));
-          continue;
-        }
-        const std::string& text = batch.column(slot).GetString(r);
-        Result<std::string> value = xml::GetXmlObject(text, src.xml_path);
-        if (metrics != nullptr) {
-          ++metrics->parse.records_parsed;
-          metrics->parse.bytes_parsed += text.size();
+      for (size_t i = 0; i < source_of.size(); ++i) {
+        // A NULL record or a missing path is NULL, as get_json_object.
+        Result<std::string> value = Status::NotFound("");
+        if (!batch.column(sources[source_of[i]].slot).IsNull(r)) {
+          value = extractors[source_of[i]].Extract(path_of[i]);
         }
         row.push_back(value.ok() ? storage::Value::String(std::move(*value))
                                  : storage::Value::Null());
@@ -661,7 +599,7 @@ Result<RecordBatch> ExecuteScan(const ScanNode& scan, QueryMetrics* metrics,
       -> Result<exec::SharedPassOutput> {
     Stopwatch pass_timer;
     MAXSON_ASSIGN_OR_RETURN(ScanSpec spec, SpecFromUnionKeys(union_columns));
-    spec.enable_ondemand = ctx.enable_ondemand;
+    spec.json_backend = ctx.json_backend;
     std::vector<SargPair> pairs;
     pairs.reserve(predicates.size());
     for (const exec::ScanPredicate& p : predicates) {

@@ -139,20 +139,4 @@ Result<std::string> GetJsonObject(std::string_view json_text,
   return RenderGetJsonObjectResult(*node);
 }
 
-Status GetJsonObjects(std::string_view json_text,
-                      const std::vector<JsonPath>& paths,
-                      std::vector<Result<std::string>>* out) {
-  MAXSON_ASSIGN_OR_RETURN(JsonValue root, ParseJson(json_text));
-  for (const JsonPath& path : paths) {
-    const JsonValue* node = path.Evaluate(root);
-    if (node == nullptr) {
-      out->push_back(
-          Status::NotFound("JSONPath " + path.ToString() + " not present"));
-    } else {
-      out->push_back(RenderGetJsonObjectResult(*node));
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace maxson::json

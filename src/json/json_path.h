@@ -64,13 +64,6 @@ class JsonPath {
 Result<std::string> GetJsonObject(std::string_view json_text,
                                   const JsonPath& path);
 
-/// GetJsonObject for several paths over one DOM parse of `json_text`:
-/// appends one Result per path to `*out`, in order. Returns the parse
-/// error, appending nothing, when the text is malformed.
-Status GetJsonObjects(std::string_view json_text,
-                      const std::vector<JsonPath>& paths,
-                      std::vector<Result<std::string>>* out);
-
 /// Renders an already-evaluated DOM node in get_json_object style.
 std::string RenderGetJsonObjectResult(const JsonValue& value);
 

@@ -273,17 +273,4 @@ Result<std::string> OndemandParser::Extract(std::string_view json,
   return r;
 }
 
-Status OndemandParser::ExtractAll(std::string_view json,
-                                  const std::vector<JsonPath>& paths,
-                                  std::vector<Result<std::string>>* out) {
-  const Status& indexed = Index(json);
-  if (!indexed.ok()) return indexed;
-  uint64_t touched = 0;
-  for (const JsonPath& path : paths) {
-    out->push_back(WithPathMessage(ResolveOnTape(tape_, path, &touched), path));
-  }
-  if (json.size() > touched) skipped_bytes_ += json.size() - touched;
-  return Status::Ok();
-}
-
 }  // namespace maxson::json

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 #include "json/json_path.h"
@@ -35,10 +34,9 @@ namespace maxson::json {
 ///     occurrence, matching JsonValue::Set overwrite.
 ///   - Memo: the parser keeps an owned copy of the last record it indexed,
 ///     with its tape and build status. A call on the same bytes (a row's k
-///     get_json_object calls, or Extract after ExtractAll) reuses them, so
-///     one row pays one validation and one classification pass. The key is
-///     the bytes, not the address, so a caller may reuse or mutate its
-///     buffer between calls.
+///     get_json_object calls) reuses them, so one row pays one validation
+///     and one classification pass. The key is the bytes, not the
+///     address, so a caller may reuse or mutate its buffer between calls.
 /// The engine still falls back to the DOM parser on any ParseError, so
 /// query results never depend on this tier.
 class OndemandParser {
@@ -48,15 +46,7 @@ class OndemandParser {
   /// Resolves `path` within `json`, rendered get_json_object-style.
   Result<std::string> Extract(std::string_view json, const JsonPath& path);
 
-  /// Resolves every path in `paths` over one shared tape (one
-  /// classification pass per record, however many columns a scan derives
-  /// from it). Appends one Result per path to `*out` in order. Returns
-  /// non-OK only for a record the validator rejects, in which case `*out`
-  /// is untouched.
-  Status ExtractAll(std::string_view json, const std::vector<JsonPath>& paths,
-                    std::vector<Result<std::string>>* out);
-
-  /// Telemetry across all Extract/ExtractAll calls: tapes built for
+  /// Telemetry across all Extract calls: tapes built for
   /// container-rooted records (a memo hit builds none), and bytes the
   /// cursor skipped past without materializing, summed per call (record
   /// size minus materialized value spans and compared keys).

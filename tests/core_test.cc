@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
@@ -524,6 +527,52 @@ TEST_F(MaxsonEndToEndTest, CacheTablePathsInfersTypesPerPath) {
   stats = cache({"$.s", "$.m"});
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->records_sampled, 2u);
+}
+
+TEST_F(MaxsonEndToEndTest, CacheSchemaIsCanonicalWhateverTheSelectionOrder) {
+  // The same paths selected in two orders build byte-identical part files
+  // and identical registry entries: fields are ordered by name.
+  auto build = [&](const std::vector<std::string>& paths,
+                   std::vector<std::string>* files, std::string* entries) {
+    std::vector<ScoredMpjp> selected(paths.size());
+    for (size_t i = 0; i < paths.size(); ++i) {
+      selected[i].candidate.location = Loc("sales", paths[i]);
+    }
+    CacheRegistry registry;
+    JsonPathCacher cacher(&catalog_, root_ + "/cache");
+    auto stats = cacher.RepopulateCache(selected, 1, &registry);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    auto splits = FileSystem::ListSplits(
+        CacheTableDir(root_ + "/cache", "mydb", "sales"));
+    ASSERT_TRUE(splits.ok());
+    for (const storage::Split& split : *splits) {
+      std::ifstream in(split.path, std::ios::binary);
+      files->emplace_back(std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>());
+    }
+    *entries = registry.ToJson();
+  };
+  std::vector<std::string> paths = {"$.f2", "$.f10", "$.f0", "$.absent",
+                                    "$.f1"};
+  std::vector<std::string> first_files, second_files;
+  std::string first_entries, second_entries;
+  build(paths, &first_files, &first_entries);
+  std::reverse(paths.begin(), paths.end());
+  std::swap(paths[0], paths[2]);
+  build(paths, &second_files, &second_entries);
+  ASSERT_EQ(first_files.size(), 3u);
+  EXPECT_TRUE(first_files == second_files);
+  EXPECT_EQ(first_entries, second_entries);
+
+  storage::CorcReader reader(
+      FileSystem::ListSplits(CacheTableDir(root_ + "/cache", "mydb", "sales"))
+          ->front()
+          .path);
+  ASSERT_TRUE(reader.Open().ok());
+  ASSERT_EQ(reader.schema().num_fields(), paths.size());
+  for (size_t f = 1; f < paths.size(); ++f) {
+    EXPECT_LT(reader.schema().field(f - 1).name, reader.schema().field(f).name);
+  }
 }
 
 TEST_F(MaxsonEndToEndTest, CacherWritesAlignedCacheTables) {

@@ -20,6 +20,7 @@
 #include "gtest/gtest.h"
 #include "storage/corc_format.h"
 #include "storage/corc_reader.h"
+#include "storage/corc_writer.h"
 #include "storage/file_system.h"
 #include "workload/data_generator.h"
 
@@ -469,6 +470,117 @@ TEST_F(DurabilityTest, EncodedCacheCorruptionStillFallsBackToRaw) {
   auto healed = session.Execute(sql);
   ASSERT_TRUE(healed.ok()) << healed.status();
   EXPECT_EQ(healed->metrics.cache_corruption_fallbacks, 0u);
+}
+
+TEST_F(DurabilityTest, FallbackRederivesEdgeRecordsLikeAnUncachedRun) {
+  // A JSON column with nested, absent, duplicate-key and malformed records,
+  // XML records and NULL rows, in two part files. JSONPaths and an XPath
+  // are cached from it; with one cache split corrupt, the fallback must
+  // re-derive exactly what an uncached run parses, on either backend.
+  const std::string dir = root_ + "/warehouse/db.mixed";
+  ASSERT_TRUE(FileSystem::MakeDirs(dir).ok());
+  storage::Schema schema;
+  schema.AddField("id", storage::TypeKind::kInt64);
+  schema.AddField("payload", storage::TypeKind::kString);
+  int64_t id = 0;
+  for (size_t part = 0; part < 2; ++part) {
+    storage::CorcWriterOptions options;
+    options.rows_per_group = 16;
+    storage::CorcWriter writer(dir + "/" + FileSystem::PartFileName(part),
+                               schema, options);
+    ASSERT_TRUE(writer.Open().ok());
+    for (int r = 0; r < 60; ++r, ++id) {
+      const std::string n = std::to_string(id);
+      storage::Value payload = storage::Value::Null();
+      switch (r % 7) {
+        case 0:  // nested
+          payload = storage::Value::String(
+              "{\"n\":" + n + ",\"a\":{\"b\":{\"c\":\"deep" + n +
+              "\"}},\"d\":" + n + ".50,\"s\":\"s\\u0041" + n + "\"}");
+          break;
+        case 1:  // the nested and string paths absent
+          payload = storage::Value::String("{\"n\":" + n + "}");
+          break;
+        case 2:  // duplicate keys: the last occurrence wins
+          payload = storage::Value::String(
+              "{\"n\":" + n + ",\"s\":\"first\",\"n\":" + n +
+              "0,\"s\":\"last\",\"a\":{\"b\":{\"c\":1,\"c\":2}}}");
+          break;
+        case 3:  // malformed
+          payload = storage::Value::String("{\"n\":" + n + ",\"s\":\"x\"");
+          break;
+        case 4:  // malformed inside a value
+          payload = storage::Value::String("{\"n\":tru,\"s\":[1 2]}");
+          break;
+        case 5:  // XML
+          payload = storage::Value::String("<event><kind>k" + n +
+                                           "</kind></event>");
+          break;
+        default:  // NULL row
+          break;
+      }
+      ASSERT_TRUE(
+          writer.AppendRow({storage::Value::Int64(id), payload}).ok());
+    }
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  catalog::TableInfo info;
+  info.database = "db";
+  info.name = "mixed";
+  info.schema = schema;
+  info.location = dir;
+  if (!catalog_.HasDatabase("db")) {
+    ASSERT_TRUE(catalog_.CreateDatabase("db").ok());
+  }
+  ASSERT_TRUE(catalog_.CreateTable(info).ok());
+
+  const std::vector<std::string> paths = {"$.n", "$.a.b.c", "$.d", "$.s",
+                                          "$.absent", "/event/kind"};
+  std::vector<core::ScoredMpjp> selected(paths.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    JsonPathLocation& l = selected[i].candidate.location;
+    l.database = "db";
+    l.table = "mixed";
+    l.column = "payload";
+    l.path = paths[i];
+  }
+  const std::string sql =
+      "SELECT id, get_json_object(payload, '$.n'), "
+      "get_json_object(payload, '$.a.b.c'), get_json_object(payload, '$.d'), "
+      "get_json_object(payload, '$.s'), get_json_object(payload, '$.absent'), "
+      "get_xml_object(payload, '/event/kind') FROM db.mixed ORDER BY id";
+  for (engine::JsonBackend backend :
+       {engine::JsonBackend::kDom, engine::JsonBackend::kMison}) {
+    const bool dom = backend == engine::JsonBackend::kDom;
+    SCOPED_TRACE(dom ? "dom" : "mison");
+    MaxsonConfig config;
+    config.cache_root = root_ + (dom ? "/cache_dom" : "/cache_mison");
+    config.engine.default_database = "db";
+    config.engine.json_backend = backend;
+    MaxsonSession session(&catalog_, config);
+    auto stats = session.CacheSelected(selected, 1);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    ASSERT_EQ(stats->paths_cached, paths.size());
+
+    auto expected = session.ExecuteWithoutCache(sql);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ASSERT_EQ(expected->batch.num_rows(), 120u);
+    auto cached = session.Execute(sql);
+    ASSERT_TRUE(cached.ok()) << cached.status();
+    EXPECT_EQ(cached->metrics.cache_columns_read, 2 * paths.size());
+    ExpectSameRows(cached, expected, "cached");
+
+    auto cache_splits =
+        FileSystem::ListSplits(config.cache_root + "/db.mixed");
+    ASSERT_TRUE(cache_splits.ok());
+    ASSERT_EQ(cache_splits->size(), 2u);
+    WriteBytes((*cache_splits)[1].path, "garbage");
+    auto result = session.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->metrics.cache_corruption_fallbacks, 1u);
+    EXPECT_EQ(result->metrics.cache_columns_read, paths.size());
+    ExpectSameRows(result, expected, "fallback");
+  }
 }
 
 TEST_F(DurabilityTest, UpdateConfigRejectsMalformedFaultSpecs) {

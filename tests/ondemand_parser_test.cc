@@ -351,35 +351,6 @@ TEST(OndemandParserTest, SkippedSubtreeGarbageFailsLikeDom) {
   }
 }
 
-TEST(OndemandParserTest, ExtractAllSharesOneTapeAcrossPaths) {
-  OndemandParser parser;
-  const std::string doc =
-      R"({"a":1,"b":{"c":"two"},"d":[10,20,30],"pad":"xxxxxxxxxxxxxxxx"})";
-  const std::vector<JsonPath> paths = {
-      MustParsePath("$.a"), MustParsePath("$.b.c"), MustParsePath("$.d[2]"),
-      MustParsePath("$.nope")};
-  std::vector<Result<std::string>> out;
-  ASSERT_TRUE(parser.ExtractAll(doc, paths, &out).ok());
-  ASSERT_EQ(out.size(), paths.size());
-  for (size_t i = 0; i < paths.size(); ++i) {
-    const Result<std::string> dom = json::GetJsonObject(doc, paths[i]);
-    ASSERT_EQ(out[i].ok(), dom.ok()) << paths[i].ToString();
-    if (dom.ok()) {
-      EXPECT_EQ(*out[i], *dom) << paths[i].ToString();
-    } else {
-      EXPECT_EQ(out[i].status().message(), dom.status().message());
-    }
-  }
-  // One record, one tape — and the untouched padding counts as skipped.
-  EXPECT_EQ(parser.records_indexed(), 1u);
-  EXPECT_GT(parser.skipped_bytes(), 0u);
-  // A record the validator rejects is a record-level failure: no slots
-  // are produced.
-  std::vector<Result<std::string>> none;
-  EXPECT_FALSE(parser.ExtractAll(R"({"a":1)", paths, &none).ok());
-  EXPECT_TRUE(none.empty());
-}
-
 TEST(OndemandParserTest, TelemetryCountsAndAbsorbs) {
   OndemandParser a;
   const JsonPath path = MustParsePath("$.a");
@@ -446,16 +417,13 @@ TEST(OndemandParserTest, MemoMalformedRecordThenValidRecord) {
   ExpectStrict(&parser, bad, b);
   ExpectStrict(&parser, bad, b);  // memo hit on the cached error
   EXPECT_EQ(parser.records_indexed(), 0u);
-  std::vector<Result<std::string>> out;
-  EXPECT_FALSE(parser.ExtractAll(bad, {b}, &out).ok());
-  EXPECT_TRUE(out.empty());
   ExpectStrict(&parser, good, b);
   EXPECT_EQ(*parser.Extract(good, b), "2");
   EXPECT_EQ(parser.records_indexed(), 1u);
   ExpectStrict(&parser, bad, b);
 }
 
-TEST(OndemandParserTest, MemoSharedBetweenExtractAndExtractAll) {
+TEST(OndemandParserTest, KExtractCallsOnOneRecordShareOneTape) {
   OndemandParser parser;
   const std::string doc =
       R"({"a":1,"b":{"c":"two"},"d":[10,20,30],"pad":"xxxxxxxxxxxxxxxx"})";
@@ -463,19 +431,20 @@ TEST(OndemandParserTest, MemoSharedBetweenExtractAndExtractAll) {
   const std::vector<JsonPath> paths = {
       MustParsePath("$.a"), MustParsePath("$.b.c"), MustParsePath("$.d[2]"),
       MustParsePath("$.nope")};
-  std::vector<Result<std::string>> out;
-  ASSERT_TRUE(parser.ExtractAll(doc, paths, &out).ok());
+  // A row's k calls: one tape, every value (and the missing path's
+  // message) as DOM's, and the untouched padding counts as skipped.
   for (const JsonPath& path : paths) ExpectStrict(&parser, doc, path);
   EXPECT_EQ(parser.records_indexed(), 1u);
+  EXPECT_GT(parser.skipped_bytes(), 0u);
+  // Another record in between costs one tape, and coming back one more
+  // for all k calls.
   ExpectStrict(&parser, other, paths[0]);
-  std::vector<Result<std::string>> again;
-  ASSERT_TRUE(parser.ExtractAll(doc, paths, &again).ok());
-  ASSERT_EQ(again.size(), out.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    ASSERT_EQ(again[i].ok(), out[i].ok());
-    if (out[i].ok()) {
-      EXPECT_EQ(*again[i], *out[i]);
-    }
+  for (const JsonPath& path : paths) ExpectStrict(&parser, doc, path);
+  EXPECT_EQ(parser.records_indexed(), 3u);
+  // A record the validator rejects fails every call as DOM does and
+  // builds no tape.
+  for (const JsonPath& path : paths) {
+    ExpectStrict(&parser, R"({"a":1)", path);
   }
   EXPECT_EQ(parser.records_indexed(), 3u);
   // A moved parser keeps a usable memo, also for a short record, whose
