@@ -16,7 +16,6 @@
 #include "exec/shared_scan.h"
 #include "json/dom_parser.h"
 #include "json/json_path.h"
-#include "json/ondemand_parser.h"
 #include "json/raw_filter.h"
 #include "obs/metric_names.h"
 #include "obs/metrics_registry.h"
@@ -98,8 +97,10 @@ const xml::XmlPath* QueryEngine::CachedXmlPath(const std::string& text) {
 
 void QueryEngine::RegisterBuiltinFunctions() {
   // get_json_object(json_string, json_path): the workhorse of the paper's
-  // workload. Its wall time is attributed to the Parse phase, into the
-  // calling worker's metrics accumulator.
+  // workload, one full parse per call — the Spark+Jackson (or Spark+Mison)
+  // baseline; sites the planner bound to path references read their
+  // scope's row walk instead (ScopePaths). Its wall time is attributed to
+  // the Parse phase, into the calling worker's metrics accumulator.
   functions_["get_json_object"] = [this](const std::vector<Value>& args,
                                          const EvalContext& ctx) -> Value {
     if (args.size() != 2 || args[0].is_null() || args[1].is_null()) {
@@ -111,30 +112,10 @@ void QueryEngine::RegisterBuiltinFunctions() {
     if (path == nullptr) return Value::Null();
 
     Stopwatch timer;
-    Result<std::string> extracted = [&]() -> Result<std::string> {
-      if (config_.json_backend == JsonBackend::kMison) {
-        json::MisonParser* mison = ctx.mison != nullptr ? ctx.mison : &mison_;
-        return mison->Extract(text, *path);
-      }
-      if (config_.enable_ondemand && ctx.ondemand != nullptr) {
-        const uint64_t skipped_before = ctx.ondemand->skipped_bytes();
-        Result<std::string> ondemand = ctx.ondemand->Extract(text, *path);
-        // The tier returns exactly what the DOM would; a record its
-        // validator rejects still re-parses through the DOM tier, which
-        // stays the reference on every error.
-        if (ondemand.ok() ||
-            ondemand.status().code() == StatusCode::kNotFound) {
-          if (ctx.metrics != nullptr) {
-            ++ctx.metrics->ondemand_records;
-            ctx.metrics->ondemand_skipped_bytes +=
-                ctx.ondemand->skipped_bytes() - skipped_before;
-          }
-          return ondemand;
-        }
-        if (ctx.metrics != nullptr) ++ctx.metrics->ondemand_fallbacks;
-      }
-      return json::GetJsonObject(text, *path);
-    }();
+    Result<std::string> extracted =
+        config_.json_backend == JsonBackend::kMison
+            ? ctx.mison->Extract(text, *path)
+            : json::GetJsonObject(text, *path);
     if (ctx.metrics != nullptr) {
       ctx.metrics->parse_seconds += timer.ElapsedSeconds();
       ++ctx.metrics->parse.records_parsed;
@@ -376,10 +357,6 @@ void QueryEngine::PublishMetrics(const QueryMetrics& metrics) {
       ->Increment(metrics.raw_filtered_rows);
   reg.GetCounter(obs::kOndemandRecords)
       ->Increment(metrics.ondemand_records);
-  reg.GetCounter(obs::kOndemandSkippedBytes)
-      ->Increment(metrics.ondemand_skipped_bytes);
-  reg.GetCounter(obs::kOndemandFallbacks)
-      ->Increment(metrics.ondemand_fallbacks);
   reg.GetCounter(obs::kCacheCorruption)
       ->Increment(metrics.cache_corruption_fallbacks);
   reg.GetCounter(obs::kPlanCacheHits)
@@ -410,38 +387,39 @@ namespace {
 constexpr size_t kRowsPerChunk = 1024;
 
 /// Worker-private execution state of one row chunk: a metrics accumulator
-/// (replacing the engine-global sink of the single-threaded engine) and a
-/// speculative parser whose memoization the chunk mutates freely. Both are
-/// folded back in chunk order after the barrier.
+/// (replacing the engine-global sink of the single-threaded engine), a
+/// speculative parser whose memoization the chunk mutates freely, and the
+/// operator scope's row walk. Counters are folded back in chunk order
+/// after the barrier.
 struct ChunkState {
   QueryMetrics metrics;
   json::MisonParser mison;
-  /// Per-chunk on-demand parser: its tape scratch mutates on every record,
-  /// so chunks must not share one. Counters flow through `metrics`.
-  json::OndemandParser ondemand;
+  ScopePaths paths;
   /// Wall time of this chunk's task on its worker; chunk times sum (in
   /// chunk order) into the owning operator's cpu_seconds.
   double seconds = 0;
 
-  /// `base` aimed at `batch` and at this chunk's private accumulators.
-  EvalContext Context(const EvalContext& base, const RecordBatch* batch) {
+  /// `base` aimed at `batch`, at this chunk's private accumulators, and at
+  /// a private copy of the scope's row walk `scope`.
+  EvalContext Context(const EvalContext& base, const RecordBatch* batch,
+                      const ScopePaths& scope) {
     EvalContext wctx = base;
     wctx.batch = batch;
     wctx.metrics = &metrics;
     wctx.mison = &mison;
-    wctx.ondemand = &ondemand;
+    paths = scope;
+    wctx.paths = paths.empty() ? nullptr : &paths;
     return wctx;
   }
 };
 
-/// Folds every chunk's counters and parser telemetry back in chunk order;
-/// returns the chunks' summed task times (the operator's cpu_seconds).
+/// Folds every chunk's counters back in chunk order; returns the chunks'
+/// summed task times (the operator's cpu_seconds).
 double FoldChunks(const std::vector<ChunkState>& states,
-                  QueryMetrics* metrics, json::MisonParser* mison) {
+                  QueryMetrics* metrics) {
   double seconds = 0;
   for (const ChunkState& s : states) {
     metrics->Accumulate(s.metrics);
-    mison->AbsorbTelemetry(s.mison);
     seconds += s.seconds;
   }
   return seconds;
@@ -542,20 +520,32 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   // its own metrics/parser and fold the accumulators back in chunk order.
   // The parser is query-local so concurrent Execute calls (the serving
   // layer runs many sessions on one engine) never share mutable parser
-  // state; its telemetry folds into mison_ once, at the end of the query,
-  // under mison_mutex_.
+  // state.
   json::MisonParser query_mison;
-  // The on-demand parser is likewise query-local; the builtin gates on the
-  // enable_ondemand knob, so wiring it unconditionally costs nothing. Its
-  // memo holds one record, which is what lets a row's get_json_object
-  // calls share one tape: rows are evaluated one at a time.
-  json::OndemandParser query_ondemand;
   EvalContext ctx;
   ctx.lookup_function = &LookupEngineFunction;
   ctx.lookup_hook = this;
   ctx.metrics = &metrics;
   ctx.mison = &query_mison;
-  ctx.ondemand = &query_ondemand;
+  // Each operator scope's bound sites, walked one row at a time under the
+  // on-demand tier (one copy per chunk or sequential section); empty
+  // otherwise, which leaves every site on its builtin.
+  const bool walk =
+      config_.enable_ondemand && config_.json_backend == JsonBackend::kDom;
+  auto scope_paths = [&](PathScope scope) {
+    const std::vector<PathSlot>& slots =
+        plan.paths[static_cast<size_t>(scope)];
+    return walk ? ScopePaths(slots) : ScopePaths();
+  };
+  // Fills an operator's "where parsing happened" counts: the paths its
+  // scopes bind and the rows walked since `walked_before`.
+  auto note_paths = [&](OperatorStats* op, uint64_t walked_before,
+                        std::initializer_list<PathScope> scopes) {
+    for (PathScope scope : scopes) {
+      op->paths += plan.paths[static_cast<size_t>(scope)].size();
+    }
+    op->rows_walked = metrics.ondemand_records - walked_before;
+  };
 
   // ---- Scan (and join) ----
   std::optional<obs::TraceSpan> scan_span;
@@ -575,8 +565,11 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     obs::TraceSpan join_span(tracer_, "join", "query");
     Stopwatch join_timer;
     Stopwatch compute_timer;
+    const uint64_t join_walked = metrics.ondemand_records;
     // Hash join: build on the right side.
     std::multimap<std::string, size_t> build;
+    ScopePaths join_paths = scope_paths(PathScope::kJoinRight);
+    ctx.paths = join_paths.empty() ? nullptr : &join_paths;
     for (size_t r = 0; r < right.num_rows(); ++r) {
       ctx.batch = &right;
       ctx.row = r;
@@ -598,6 +591,8 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     }
     RecordBatch joined(joined_schema);
     Stopwatch probe_timer;
+    join_paths = scope_paths(PathScope::kJoinLeft);
+    ctx.paths = join_paths.empty() ? nullptr : &join_paths;
     for (size_t l = 0; l < left.num_rows(); ++l) {
       ctx.batch = &left;
       ctx.row = l;
@@ -618,8 +613,11 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       }
     }
     metrics.compute_seconds += probe_timer.ElapsedSeconds();
+    ctx.paths = nullptr;
     OperatorStats join_op;
     join_op.name = "HashJoin";
+    note_paths(&join_op, join_walked,
+               {PathScope::kJoinLeft, PathScope::kJoinRight});
     join_op.rows_in = left.num_rows() + right.num_rows();
     join_op.rows_out = joined.num_rows();
     join_op.wall_seconds = join_timer.ElapsedSeconds();
@@ -679,6 +677,8 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     obs::TraceSpan filter_span(tracer_, "filter", "query");
     Stopwatch filter_timer;
     const uint64_t filter_rows_in = input.num_rows();
+    const uint64_t filter_walked = metrics.ondemand_records;
+    const ScopePaths filter_paths = scope_paths(PathScope::kFilter);
     // Row chunks are filtered in parallel, each into a private list of
     // surviving row indexes; lists are concatenated in chunk order, so the
     // surviving-row order matches sequential execution.
@@ -689,7 +689,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     MAXSON_RETURN_NOT_OK(exec::ParallelFor(
         pool, chunks.size(), [&](size_t c) -> Status {
           Stopwatch chunk_timer;
-          EvalContext wctx = states[c].Context(ctx, &input);
+          EvalContext wctx = states[c].Context(ctx, &input, filter_paths);
           for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
             bool rejected = false;
             for (const RowPrefilter& pf : prefilters) {
@@ -712,12 +712,13 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
           states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
-    const double chunk_seconds = FoldChunks(states, &metrics, &query_mison);
+    const double chunk_seconds = FoldChunks(states, &metrics);
     for (const std::vector<size_t>& rows : kept) {
       for (size_t r : rows) filtered.AppendRow(input.GetRow(r));
     }
     OperatorStats filter_op;
     filter_op.name = "Filter";
+    note_paths(&filter_op, filter_walked, {PathScope::kFilter});
     filter_op.rows_in = filter_rows_in;
     filter_op.rows_out = filtered.num_rows();
     filter_op.units = chunks.size();
@@ -744,6 +745,8 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     obs::TraceSpan agg_span(tracer_, "aggregate", "query");
     Stopwatch agg_timer;
     const uint64_t agg_rows_in = filtered.num_rows();
+    const uint64_t agg_walked = metrics.ondemand_records;
+    const ScopePaths agg_paths = scope_paths(PathScope::kAggregate);
     // Group rows.
     struct Group {
       std::vector<Value> key_values;
@@ -782,7 +785,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     std::vector<std::map<std::string, Group>> partials(chunks.size());
     MAXSON_RETURN_NOT_OK(exec::ParallelFor(
         pool, chunks.size(), [&](size_t c) -> Status {
-          EvalContext wctx = states[c].Context(ctx, &filtered);
+          EvalContext wctx = states[c].Context(ctx, &filtered, agg_paths);
           Stopwatch chunk_timer;
           std::map<std::string, Group>& local = partials[c];
           for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
@@ -816,7 +819,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
           states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
-    const double chunk_seconds = FoldChunks(states, &metrics, &query_mison);
+    const double chunk_seconds = FoldChunks(states, &metrics);
     std::map<std::string, Group> groups;
     for (std::map<std::string, Group>& partial : partials) {
       for (auto& [key, group] : partial) {
@@ -840,6 +843,8 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
 
     // Finalize each group: evaluate projections (and HAVING) with aggregate
     // nodes replaced by their finished values.
+    ScopePaths finalize_paths = scope_paths(PathScope::kFinalize);
+    ctx.paths = finalize_paths.empty() ? nullptr : &finalize_paths;
     for (auto& [key, group] : groups) {
       ctx.batch = &filtered;
       ctx.row = group.first_row;
@@ -890,8 +895,11 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       }
       out_rows.push_back(std::move(row));
     }
+    ctx.paths = nullptr;
     OperatorStats agg_op;
     agg_op.name = "Aggregate";
+    note_paths(&agg_op, agg_walked,
+               {PathScope::kAggregate, PathScope::kFinalize});
     agg_op.rows_in = agg_rows_in;
     agg_op.rows_out = out_rows.size();
     agg_op.units = chunks.size();
@@ -964,13 +972,15 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       // `sort_keys`, and the stable sort below sees the same key array
       // regardless of which worker filled which slot.
       std::vector<std::vector<Value>> sort_keys(filtered.num_rows());
+      const uint64_t sort_walked = metrics.ondemand_records;
+      const ScopePaths sort_paths = scope_paths(PathScope::kSort);
       const std::vector<exec::ChunkRange> chunks =
           exec::MakeChunks(filtered.num_rows(), kRowsPerChunk);
       std::vector<ChunkState> states(chunks.size());
       MAXSON_RETURN_NOT_OK(exec::ParallelFor(
           pool, chunks.size(), [&](size_t c) -> Status {
             Stopwatch chunk_timer;
-            EvalContext wctx = states[c].Context(ctx, &filtered);
+            EvalContext wctx = states[c].Context(ctx, &filtered, sort_paths);
             for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
               wctx.row = r;
               for (const auto& [expr, desc] : plan.order_by) {
@@ -981,7 +991,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
             states[c].seconds = chunk_timer.ElapsedSeconds();
             return Status::Ok();
           }));
-      const double chunk_seconds = FoldChunks(states, &metrics, &query_mison);
+      const double chunk_seconds = FoldChunks(states, &metrics);
       std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
         for (size_t k = 0; k < plan.order_by.size(); ++k) {
           const int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
@@ -991,6 +1001,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       });
       OperatorStats sort_op;
       sort_op.name = "Sort";
+      note_paths(&sort_op, sort_walked, {PathScope::kSort});
       sort_op.rows_in = filtered.num_rows();
       sort_op.rows_out = filtered.num_rows();
       sort_op.units = chunks.size();
@@ -1007,13 +1018,16 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     obs::TraceSpan project_span(tracer_, "project", "query");
     Stopwatch project_timer;
     out_rows.resize(take);
+    const uint64_t project_walked = metrics.ondemand_records;
+    const ScopePaths project_paths = scope_paths(PathScope::kProject);
     const std::vector<exec::ChunkRange> chunks =
         exec::MakeChunks(take, kRowsPerChunk);
     std::vector<ChunkState> states(chunks.size());
     MAXSON_RETURN_NOT_OK(exec::ParallelFor(
         pool, chunks.size(), [&](size_t c) -> Status {
           Stopwatch chunk_timer;
-          EvalContext wctx = states[c].Context(ctx, &filtered);
+          EvalContext wctx =
+              states[c].Context(ctx, &filtered, project_paths);
           for (size_t i = chunks[c].begin; i < chunks[c].end; ++i) {
             wctx.row = order[i];
             std::vector<Value> row;
@@ -1027,9 +1041,10 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
           states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
-    const double chunk_seconds = FoldChunks(states, &metrics, &query_mison);
+    const double chunk_seconds = FoldChunks(states, &metrics);
     OperatorStats project_op;
     project_op.name = "Project";
+    note_paths(&project_op, project_walked, {PathScope::kProject});
     project_op.rows_in = filtered.num_rows();
     project_op.rows_out = take;
     project_op.units = chunks.size();
@@ -1097,10 +1112,6 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   // accumulated during evaluation.
   metrics.compute_seconds +=
       std::max(0.0, compute_timer.ElapsedSeconds() - metrics.parse_seconds);
-  {
-    MutexLock lock(mison_mutex_);
-    mison_.AbsorbTelemetry(query_mison);
-  }
   PublishMetrics(metrics);
   return result;
 }

@@ -181,26 +181,6 @@ class QueryEngine {
   Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
                                   const ExecContext& ctx);
 
-  /// Value snapshot of the Mison backend's speculation telemetry (zeros
-  /// under kDom). Cumulative across queries.
-  struct ParserTelemetry {
-    uint64_t speculation_hits = 0;
-    uint64_t speculation_misses = 0;
-    uint64_t records_indexed = 0;
-  };
-
-  /// Speculation telemetry of the Mison backend. Workers extract with
-  /// private parsers; their counters fold into a query-local parser and
-  /// land in mison_ once per query under mison_mutex_. The snapshot is
-  /// taken under the same mutex, so stats read while queries run are
-  /// merely slightly stale, never torn — and no caller can alias the
-  /// guarded parser, which is what lets the analysis cover every access.
-  ParserTelemetry parser_telemetry() const MAXSON_EXCLUDES(mison_mutex_) {
-    MutexLock lock(mison_mutex_);
-    return {mison_.speculation_hits(), mison_.speculation_misses(),
-            mison_.records_indexed()};
-  }
-
  private:
   friend const ScalarFunction* LookupEngineFunction(const std::string& name,
                                                     void* hook);
@@ -241,14 +221,6 @@ class QueryEngine {
   /// Cache-state stamp source for shared-scan group keys; see
   /// set_scan_validity_source.
   std::function<uint64_t()> scan_validity_source_;
-  /// Long-lived telemetry accumulator and single-threaded fallback parser
-  /// (used only when an EvalContext carries no per-worker parser — never
-  /// the case inside ExecutePlan, which always supplies a query-local
-  /// parser so concurrent Execute calls stay independent). Guarded by
-  /// mison_mutex_ for the once-per-query telemetry fold; mutable so the
-  /// const parser_telemetry() snapshot can lock it.
-  mutable Mutex mison_mutex_;
-  json::MisonParser mison_ MAXSON_GUARDED_BY(mison_mutex_);
   std::unordered_map<std::string, ScalarFunction> functions_;
   /// Caches of parsed path objects keyed by text, to keep path parsing out
   /// of the measured parse time. Shared across worker threads: lookups

@@ -86,6 +86,10 @@ std::string Annotate(std::string label, const OperatorStats* stats,
     label += "rows_in=" + std::to_string(stats->rows_in);
     label += " rows_out=" + std::to_string(stats->rows_out);
     if (stats->units > 0) label += " chunks=" + std::to_string(stats->units);
+    if (stats->paths > 0) {
+      label += " paths=" + std::to_string(stats->paths) +
+               " walked=" + std::to_string(stats->rows_walked);
+    }
   }
   label += " wall=" + FormatMillis(stats->wall_seconds);
   if (stats->cpu_seconds > 0) {

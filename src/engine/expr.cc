@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "engine/path_extractor.h"
+
 namespace maxson::engine {
 
 using storage::Value;
@@ -68,6 +70,7 @@ ExprPtr Expr::Clone() const {
   e->bin_op = bin_op;
   e->un_op = un_op;
   e->func_name = func_name;
+  e->path_slot = path_slot;
   e->agg = agg;
   e->children.reserve(children.size());
   for (const ExprPtr& child : children) e->children.push_back(child->Clone());
@@ -307,6 +310,10 @@ Result<Value> EvaluateExpr(const Expr& expr, const EvalContext& ctx) {
       return Status::Internal("unhandled unary operator");
     }
     case ExprKind::kFunction: {
+      if (expr.path_slot >= 0 && ctx.paths != nullptr) {
+        return ctx.paths->Get(static_cast<size_t>(expr.path_slot), *ctx.batch,
+                              ctx.row, ctx.metrics);
+      }
       if (ctx.lookup_function == nullptr) {
         return Status::Internal("no function registry in EvalContext");
       }

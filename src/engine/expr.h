@@ -12,11 +12,11 @@
 
 namespace maxson::json {
 class MisonParser;
-class OndemandParser;
 }  // namespace maxson::json
 
 namespace maxson::engine {
 
+class ScopePaths;
 struct QueryMetrics;
 
 enum class ExprKind {
@@ -81,6 +81,11 @@ struct Expr {
 
   // kFunction
   std::string func_name;
+  /// get_json_object/get_xml_object over a string column and a literal
+  /// path: the site's slot in its operator scope's path list
+  /// (PhysicalPlan::paths), read from the scope's row walk. -1 (and any
+  /// context without a walk) evaluates the builtin.
+  int path_slot = -1;
 
   // kAggregate
   AggKind agg = AggKind::kCount;
@@ -141,14 +146,14 @@ struct EvalContext {
   /// Per-worker parse accounting sink; null when parse time is unmeasured.
   QueryMetrics* metrics = nullptr;
   /// Per-worker speculative Mison parser (its pattern memoization mutates
-  /// on every extraction, so workers must not share one); null falls back
-  /// to the engine's single-threaded parser.
+  /// on every extraction, so workers must not share one); ExecutePlan
+  /// gives every context one.
   json::MisonParser* mison = nullptr;
-  /// Per-worker on-demand parser (its tape scratch mutates per record, so
-  /// workers must not share one). Non-null only when the engine's
-  /// enable_ondemand knob is on; null keeps get_json_object on the
-  /// configured DOM/Mison backend.
-  json::OndemandParser* ondemand = nullptr;
+  /// Per-worker row walk of the current operator scope, which resolves
+  /// the scope's bound path references. Non-null only when the engine's
+  /// enable_ondemand knob is on under the kDom backend; null evaluates
+  /// every site through its builtin.
+  ScopePaths* paths = nullptr;
 };
 
 /// Evaluates a bound, aggregate-free expression for one row. NULL propagates

@@ -9,9 +9,14 @@
 #include "json/json_path.h"
 #include "json/json_value.h"
 #include "json/mison_parser.h"
+#include "json/ondemand_parser.h"
+#include "storage/record_batch.h"
 #include "xml/xml_path.h"
 
 namespace maxson::engine {
+
+struct PathSlot;
+struct QueryMetrics;
 
 /// Which JSON parser backs get_json_object, mirroring the paper's Fig. 15
 /// configurations: kDom = Spark+Jackson (full deserialization), kMison =
@@ -26,13 +31,17 @@ enum class JsonBackend { kDom, kMison };
 /// a cached value and its re-derivation agree by construction.
 ///
 /// Path texts starting with '/' are XPaths (one GetXmlObject per path); the
-/// rest are JSONPaths. Under kDom, Load parses the record once into a DOM
-/// that every JSONPath evaluates against; under kMison every JSONPath
-/// extracts through the extractor's one speculative parser. Not
-/// thread-safe: each worker uses its own copy.
+/// rest are JSONPaths. In on-demand mode Load resolves every JSONPath in
+/// one walk over the record's validated tape (json::OndemandParser), which
+/// is how the engine evaluates get_json_object; otherwise, under kDom,
+/// Load parses the record once into a DOM that every JSONPath evaluates
+/// against, and under kMison every JSONPath extracts through the
+/// extractor's one speculative parser. Not thread-safe: each worker uses
+/// its own copy.
 class PathExtractor {
  public:
-  PathExtractor(const std::vector<std::string>& paths, JsonBackend backend);
+  PathExtractor(const std::vector<std::string>& paths, JsonBackend backend,
+                bool ondemand = false);
 
   size_t size() const { return paths_.size(); }
   /// OK, or the error parsing path i's text gave; such a path never
@@ -42,9 +51,9 @@ class PathExtractor {
   /// under kDom), so the cost of that parse is part of its cost.
   bool reads_dom(size_t i) const { return paths_[i].reads_dom; }
 
-  /// Makes `record` the current record (parsing it into the shared DOM
-  /// when some path reads it). The bytes must outlive the Extract and Node
-  /// calls that follow.
+  /// Makes `record` the current record (walking it, or parsing it into the
+  /// shared DOM, when some path needs that). The bytes must outlive the
+  /// Extract and Node calls that follow.
   void Load(std::string_view record);
 
   /// Path i's value in the current record. Any non-OK result is NULL: the
@@ -63,6 +72,7 @@ class PathExtractor {
     Status status;
     bool is_xml = false;
     bool reads_dom = false;
+    int walk = -1;  // result index in the on-demand walk; -1 = not walked
     json::JsonPath json;
     xml::XmlPath xml;
   };
@@ -72,6 +82,38 @@ class PathExtractor {
   json::JsonValue dom_;
   bool dom_ok_ = false;
   json::MisonParser mison_;
+  bool any_walk_ = false;
+  json::OndemandParser walker_;
+};
+
+/// One operator scope's bound get_json_object/get_xml_object sites
+/// (PhysicalPlan::paths) over one input batch: an on-demand PathExtractor
+/// per source column, which walks a row on that row's first reference, so
+/// a row costs one walk per column however many sites read it. Copied per
+/// worker, like the extractor.
+class ScopePaths {
+ public:
+  ScopePaths() = default;
+  explicit ScopePaths(const std::vector<PathSlot>& slots);
+
+  bool empty() const { return slots_.empty(); }
+
+  /// Site `slot`'s value in `row` of `batch`, as get_json_object (or
+  /// get_xml_object) returns it: NULL for a NULL record or any error. Each
+  /// call counts one record parsed into `metrics` (may be null), and each
+  /// row walked one ondemand_records.
+  storage::Value Get(size_t slot, const storage::RecordBatch& batch,
+                     size_t row, QueryMetrics* metrics);
+
+ private:
+  struct Source {
+    int column;
+    PathExtractor extractor;
+    const storage::RecordBatch* batch = nullptr;  // the loaded row's batch
+    size_t row = 0;
+  };
+  std::vector<Source> sources_;
+  std::vector<std::pair<size_t, size_t>> slots_;  // (source, path index)
 };
 
 }  // namespace maxson::engine

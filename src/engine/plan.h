@@ -1,6 +1,7 @@
 #ifndef MAXSON_ENGINE_PLAN_H_
 #define MAXSON_ENGINE_PLAN_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -58,6 +59,31 @@ struct ScanNode {
   }
 };
 
+/// One get_json_object/get_xml_object site bound to a path reference: the
+/// string column it reads (an index into its operator's input schema) and
+/// its literal path. The call node keeps its children and names the slot
+/// (Expr::path_slot), so it prints as the call it is.
+struct PathSlot {
+  int column = -1;
+  std::string path;
+
+  bool operator==(const PathSlot&) const = default;
+};
+
+/// The operator scopes that evaluate expressions row by row; each has its
+/// own path list, and each worker of a scope walks a row once per source
+/// column however many of the scope's sites read it.
+enum class PathScope {
+  kJoinLeft,   // left join keys, over the left scan's output
+  kJoinRight,  // right join keys, over the right scan's output
+  kFilter,     // WHERE
+  kAggregate,  // GROUP BY keys and aggregate arguments
+  kFinalize,   // aggregate plans' projections and HAVING, per group
+  kSort,       // ORDER BY keys of plain projections
+  kProject,    // plain projections
+};
+inline constexpr size_t kNumPathScopes = 7;
+
 /// Fully bound physical plan of one SELECT.
 struct PhysicalPlan {
   ScanNode scan;
@@ -88,7 +114,36 @@ struct PhysicalPlan {
   bool has_aggregates = false;
   std::vector<std::pair<ExprPtr, bool>> order_by;  // expr, descending
   int64_t limit = -1;
+  /// Path references per operator scope, indexed by PathScope; filled by
+  /// the planner after the Maxson rewrite and column binding.
+  std::array<std::vector<PathSlot>, kNumPathScopes> paths;
 };
+
+/// Calls fn(node, scope) for every node of every expression `plan`
+/// evaluates row by row, naming the scope that evaluates it: the one walk
+/// both the planner's binder and the PlanValidator follow. ORDER BY keys
+/// of aggregate plans only name projections and are never evaluated.
+template <typename Plan, typename Fn>
+void VisitPathScopes(Plan& plan, Fn&& fn) {
+  auto walk = [&fn](auto& self, auto& e, PathScope scope) -> void {
+    if (e.kind == ExprKind::kAggregate) scope = PathScope::kAggregate;
+    fn(e, scope);
+    for (auto& child : e.children) self(self, *child, scope);
+  };
+  for (auto& e : plan.join_keys_left) walk(walk, *e, PathScope::kJoinLeft);
+  for (auto& e : plan.join_keys_right) walk(walk, *e, PathScope::kJoinRight);
+  if (plan.where != nullptr) walk(walk, *plan.where, PathScope::kFilter);
+  const bool aggregates = plan.has_aggregates || !plan.group_by.empty();
+  for (auto& e : plan.projections) {
+    walk(walk, *e, aggregates ? PathScope::kFinalize : PathScope::kProject);
+  }
+  if (!aggregates) {
+    for (auto& key : plan.order_by) walk(walk, *key.first, PathScope::kSort);
+    return;
+  }
+  for (auto& e : plan.group_by) walk(walk, *e, PathScope::kAggregate);
+  if (plan.having != nullptr) walk(walk, *plan.having, PathScope::kFinalize);
+}
 
 /// Runtime accounting of one physical operator, in pipeline execution
 /// order (scan(s) first, limit last); EXPLAIN ANALYZE renders these onto
@@ -104,6 +159,11 @@ struct OperatorStats {
   uint64_t units = 0;
   /// Cache columns stitched into a scan's output (nonzero = Maxson hit).
   uint64_t cache_columns = 0;
+  /// Where parsing happened: path references bound in the operator's
+  /// scopes, and rows their extractors walked (one per row and source
+  /// column, at the row's first reference).
+  uint64_t paths = 0;
+  uint64_t rows_walked = 0;
   /// Operator wall time on the coordinating thread.
   double wall_seconds = 0;
   /// Summed per-worker task time; exceeds wall_seconds under parallelism.
@@ -130,14 +190,10 @@ struct QueryMetrics {
   /// and were re-derived from the raw file instead. Deterministic: which
   /// splits are corrupt is a property of the files, not of scheduling.
   uint64_t cache_corruption_fallbacks = 0;
-  /// On-demand parsing tier (json/ondemand_parser.h): records resolved by
-  /// tape cursoring, bytes the cursor skipped without token-parsing, and
-  /// records that fell back to the DOM parser on an on-demand error.
-  /// Deterministic: which records take which tier is a property of the
-  /// bytes and the requested paths, not of scheduling.
+  /// On-demand parsing tier (json/ondemand_parser.h): rows walked, one
+  /// per operator scope, row and source column. Deterministic: it depends
+  /// on the plan and the rows, not on scheduling.
   uint64_t ondemand_records = 0;
-  uint64_t ondemand_skipped_bytes = 0;
-  uint64_t ondemand_fallbacks = 0;
   /// Plan-rewrite cache accounting, copied from the PhysicalPlan when the
   /// plan executes (see PhysicalPlan::rewrite_cache_*).
   uint64_t plan_cache_hits = 0;
@@ -168,8 +224,6 @@ struct QueryMetrics {
     raw_filtered_rows += other.raw_filtered_rows;
     cache_corruption_fallbacks += other.cache_corruption_fallbacks;
     ondemand_records += other.ondemand_records;
-    ondemand_skipped_bytes += other.ondemand_skipped_bytes;
-    ondemand_fallbacks += other.ondemand_fallbacks;
     plan_cache_hits += other.plan_cache_hits;
     plan_cache_misses += other.plan_cache_misses;
     plan_cache_fallbacks += other.plan_cache_fallbacks;

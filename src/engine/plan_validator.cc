@@ -340,11 +340,13 @@ Status ValidatePlan(const PhysicalPlan& plan,
   // ---- Expression resolution against the executor's input schema ----
   // Filter, Project, Aggregate and Sort all evaluate against the (joined)
   // scan output; join keys bind against their own side only.
-  Schema input = ScanOutputSchema(plan.scan);
+  const Schema left = ScanOutputSchema(plan.scan);
+  Schema right;
+  Schema input = left;
   if (plan.join_scan.has_value()) {
-    const Schema right = ScanOutputSchema(*plan.join_scan);
+    right = ScanOutputSchema(*plan.join_scan);
     for (size_t k = 0; k < plan.join_keys_left.size(); ++k) {
-      MAXSON_RETURN_NOT_OK(CheckExpr(plan, *plan.join_keys_left[k], input,
+      MAXSON_RETURN_NOT_OK(CheckExpr(plan, *plan.join_keys_left[k], left,
                                      "join key", {}, false));
       MAXSON_RETURN_NOT_OK(CheckExpr(plan, *plan.join_keys_right[k], right,
                                      "join key", {}, false));
@@ -384,7 +386,36 @@ Status ValidatePlan(const PhysicalPlan& plan,
     return Violation(plan, "aggregate-placement",
                      "plan contains aggregates but has_aggregates is false");
   }
-  return Status::Ok();
+
+  // Path binding: a path reference reads its slot from the row walk of the
+  // scope that evaluates it, so the slot must exist and be the string
+  // column and path the call itself names.
+  Status binding;
+  VisitPathScopes(plan, [&](const Expr& node, PathScope scope) {
+    if (!binding.ok() || node.path_slot < 0) return;
+    const std::vector<PathSlot>& slots =
+        plan.paths[static_cast<size_t>(scope)];
+    const size_t slot = static_cast<size_t>(node.path_slot);
+    const std::optional<PathSlot> site = PathSiteOf(
+        node, scope == PathScope::kJoinLeft    ? left
+              : scope == PathScope::kJoinRight ? right
+                                               : input);
+    std::string problem;
+    if (slot >= slots.size()) {
+      problem = " names slot " + std::to_string(slot) + " of a " +
+                std::to_string(slots.size()) + "-path scope";
+    } else if (!site.has_value()) {
+      problem = " is not a literal path over a string column";
+    } else if (*site != slots[slot]) {
+      problem = " does not read its slot (column " +
+                std::to_string(slots[slot].column) + ", '" +
+                slots[slot].path + "')";
+    }
+    if (!problem.empty()) {
+      binding = Violation(plan, "path-binding", node.ToString() + problem);
+    }
+  });
+  return binding;
 }
 
 }  // namespace maxson::engine

@@ -50,7 +50,10 @@ using CacheBindingSource =
 ///  - dual-reader alignment: all cache columns of one scan come from one
 ///    cache table directory (the value combiner opens a single cache file
 ///    per split) distinct from the raw table, and output names are unique
-///    so the combined schema has no ambiguous positions.
+///    so the combined schema has no ambiguous positions;
+///  - path binding: every path reference (Expr::path_slot) names a slot of
+///    its operator scope's path list whose column is a string column of
+///    that scope's input schema and whose column and path are the call's.
 ///
 /// Returns OK, or an Internal status naming the violated invariant with the
 /// offending node and the EXPLAIN rendering of the whole plan. Pass null

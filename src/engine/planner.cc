@@ -1,9 +1,12 @@
 #include "engine/planner.h"
 
 #include <functional>
+#include <optional>
 #include <set>
 
 #include "common/string_util.h"
+#include "json/json_path.h"
+#include "xml/xml_path.h"
 
 namespace maxson::engine {
 
@@ -128,6 +131,31 @@ const Expr* UnwrapNumericCast(const Expr* e) {
 }
 
 }  // namespace
+
+std::optional<PathSlot> PathSiteOf(const Expr& node,
+                                   const storage::Schema& schema) {
+  if (node.kind != ExprKind::kFunction || node.children.size() != 2) {
+    return std::nullopt;
+  }
+  const bool xml = node.func_name == "get_xml_object";
+  const Expr& column = *node.children[0];
+  const Expr& path = *node.children[1];
+  if ((!xml && node.func_name != "get_json_object") ||
+      column.kind != ExprKind::kColumnRef || column.column_index < 0 ||
+      static_cast<size_t>(column.column_index) >= schema.num_fields() ||
+      schema.field(static_cast<size_t>(column.column_index)).type !=
+          TypeKind::kString ||
+      path.kind != ExprKind::kLiteral || !path.literal.is_string()) {
+    return std::nullopt;
+  }
+  const std::string& text = path.literal.string_value();
+  if (xml::IsXmlPathText(text) != xml ||
+      !(xml ? xml::XmlPath::Parse(text).ok()
+            : json::JsonPath::Parse(text).ok())) {
+    return std::nullopt;
+  }
+  return PathSlot{column.column_index, text};
+}
 
 void ExtractSargs(const Expr* where, ScanNode* scan) {
   if (where == nullptr) return;
@@ -309,12 +337,14 @@ Result<PhysicalPlan> Planner::Plan(const SelectStatement& stmt,
   }
 
   // Bind every expression against the executor's input schema.
-  Schema input = ScanOutputSchema(plan.scan);
+  const Schema left = ScanOutputSchema(plan.scan);
+  Schema right;
+  Schema input = left;
   if (plan.join_scan.has_value()) {
-    Schema right = ScanOutputSchema(*plan.join_scan);
+    right = ScanOutputSchema(*plan.join_scan);
     // Join keys bind against their own side.
     for (ExprPtr& e : plan.join_keys_left) {
-      MAXSON_RETURN_NOT_OK(BindExpr(e.get(), input));
+      MAXSON_RETURN_NOT_OK(BindExpr(e.get(), left));
     }
     for (ExprPtr& e : plan.join_keys_right) {
       MAXSON_RETURN_NOT_OK(BindExpr(e.get(), right));
@@ -342,6 +372,22 @@ Result<PhysicalPlan> Planner::Plan(const SelectStatement& stmt,
   for (auto& [e, desc] : plan.order_by) {
     MAXSON_RETURN_NOT_OK(BindExpr(e.get(), input));
   }
+
+  // The sites the rewrite left on raw strings become path references, so
+  // each operator scope walks a row once per source column; identical
+  // sites share a slot.
+  VisitPathScopes(plan, [&](Expr& node, PathScope scope) {
+    const std::optional<PathSlot> site = PathSiteOf(
+        node, scope == PathScope::kJoinLeft    ? left
+              : scope == PathScope::kJoinRight ? right
+                                               : input);
+    if (!site.has_value()) return;
+    std::vector<PathSlot>& slots = plan.paths[static_cast<size_t>(scope)];
+    size_t slot = 0;
+    while (slot < slots.size() && slots[slot] != *site) ++slot;
+    if (slot == slots.size()) slots.push_back(*site);
+    node.path_slot = static_cast<int>(slot);
+  });
   return plan;
 }
 

@@ -1,6 +1,7 @@
 #ifndef MAXSON_ENGINE_PLANNER_H_
 #define MAXSON_ENGINE_PLANNER_H_
 
+#include <optional>
 #include <string>
 
 #include "catalog/catalog.h"
@@ -45,6 +46,13 @@ int ResolveColumn(const storage::Schema& schema, const std::string& name);
 /// Binds all column refs in `expr` to `schema` indexes. Fails on unknown or
 /// ambiguous names.
 Status BindExpr(Expr* expr, const storage::Schema& schema);
+
+/// The path reference `node` binds to: get_json_object over a JSONPath
+/// text or get_xml_object over an XPath text, reading a string column of
+/// `schema` with a literal path that parses. nullopt for any other site,
+/// which stays on its builtin.
+std::optional<PathSlot> PathSiteOf(const Expr& node,
+                                   const storage::Schema& schema);
 
 /// Extracts SARG-able conjuncts (`column cmp literal` over plain column
 /// refs) from `where` into the scan's raw or cache SARG. Non-extractable

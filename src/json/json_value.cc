@@ -2,26 +2,6 @@
 
 namespace maxson::json {
 
-const char* JsonTypeName(JsonType type) {
-  switch (type) {
-    case JsonType::kNull:
-      return "null";
-    case JsonType::kBool:
-      return "bool";
-    case JsonType::kInt:
-      return "int";
-    case JsonType::kDouble:
-      return "double";
-    case JsonType::kString:
-      return "string";
-    case JsonType::kArray:
-      return "array";
-    case JsonType::kObject:
-      return "object";
-  }
-  return "?";
-}
-
 const JsonValue* JsonValue::Find(std::string_view key) const {
   for (const Member& m : members_) {
     if (m.first == key) return &m.second;

@@ -22,8 +22,6 @@ enum class JsonType {
   kObject,
 };
 
-const char* JsonTypeName(JsonType type);
-
 /// Owned JSON document tree (DOM). Objects preserve insertion order of keys,
 /// matching how parsers and generators emit fields; lookups are linear scans,
 /// which is the right trade-off for the small objects typical of log records.

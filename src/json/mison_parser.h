@@ -93,16 +93,6 @@ class MisonParser {
   uint64_t speculation_misses() const { return speculation_misses_; }
   uint64_t records_indexed() const { return records_indexed_; }
 
-  /// Adds another parser's telemetry to this one. The engine extracts with
-  /// a private parser per row chunk (speculation state is mutable and must
-  /// not be shared across workers) and folds their counters back into its
-  /// long-lived parser after each query.
-  void AbsorbTelemetry(const MisonParser& other) {
-    speculation_hits_ += other.speculation_hits_;
-    speculation_misses_ += other.speculation_misses_;
-    records_indexed_ += other.records_indexed_;
-  }
-
  private:
   struct SpeculationKey {
     uint32_t level;

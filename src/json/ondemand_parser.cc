@@ -12,7 +12,6 @@ namespace ondemand_internal {
 Status StructuralTape::Build(std::string_view record) {
   text = record;
   entries.clear();
-  strings.clear();
   stack.clear();
   root_is_container = false;
   MAXSON_RETURN_NOT_OK(ValidateJson(record));
@@ -26,42 +25,22 @@ Status StructuralTape::Build(std::string_view record) {
   quotes.resize(words);
   backslashes.resize(words);
   structurals.resize(words);
-  string_mask.resize(words);
   simd::ClassifyJsonFull(record.data(), n, quotes.data(), backslashes.data(),
                          structurals.data());
 
-  // Phase 2: drop escaped quotes, derive the string mask, and collect the
-  // string spans (ascending by construction — quote pairs alternate
-  // open/close left to right, threading across bitmap words).
+  // Walk the structural positions outside strings in order, linking every
+  // container open to its close. The link is what lets the walk hop over
+  // an entire sibling subtree in one step. The string mask drops escaped
+  // quotes first, threading escape and quote state across bitmap words.
+  // The validator has already proven the containers balanced and the root
+  // the only value, so the root open is the first entry and its close the
+  // last.
   uint64_t carry = 0;
   uint64_t parity = 0;
-  bool in_string = false;
-  uint32_t open_quote = 0;
   for (size_t w = 0; w < words; ++w) {
     const uint64_t escaped = simd::EscapedPositions(backslashes[w], &carry);
-    uint64_t q = quotes[w] & ~escaped;
-    string_mask[w] = simd::StringMaskWord(q, &parity);
-    while (q != 0) {
-      const uint32_t pos = static_cast<uint32_t>(
-          w * simd::kWordBits + static_cast<size_t>(__builtin_ctzll(q)));
-      q &= q - 1;
-      if (!in_string) {
-        open_quote = pos;
-        in_string = true;
-      } else {
-        strings.push_back({open_quote, pos});
-        in_string = false;
-      }
-    }
-  }
-
-  // Phase 3: walk the structural positions outside strings in order,
-  // linking every container open to its close. The link is what lets the
-  // cursor hop over an entire sibling subtree in one step. The validator
-  // has already proven the containers balanced and the root the only
-  // value, so the root open is the first entry and its close the last.
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t s = structurals[w] & ~string_mask[w];
+    uint64_t s = structurals[w] &
+                 ~simd::StringMaskWord(quotes[w] & ~escaped, &parity);
     while (s != 0) {
       const size_t pos =
           w * simd::kWordBits + static_cast<size_t>(__builtin_ctzll(s));
@@ -86,191 +65,214 @@ Status StructuralTape::Build(std::string_view record) {
 
 namespace {
 
-using ondemand_internal::StringSpan;
-using ondemand_internal::StructuralTape;
 using ondemand_internal::TapeEntry;
 
-constexpr size_t kNone = ~size_t{0};
-
-/// Cursor node: a container (tape index of its open entry) or a terminal
-/// span; `begin`/`end` always bound the node's raw bytes.
-struct Node {
-  size_t open = kNone;
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-/// Compares the string literal `key` (offsets of its quotes) against the
-/// queried field. Unescaped keys compare raw; escaped keys decode through
-/// the DOM string parser so escape semantics (including \uXXXX) match the
-/// baseline exactly.
-Result<bool> KeyEquals(const StructuralTape& t, const StringSpan& key,
-                       std::string_view field, uint64_t* touched) {
-  const std::string_view raw =
-      t.text.substr(key.begin + 1, key.end - key.begin - 1);
-  *touched += raw.size();
-  if (raw.find('\\') == std::string_view::npos) {
-    return raw == field;
-  }
-  MAXSON_ASSIGN_OR_RETURN(
-      const JsonValue decoded,
-      ParseJson(t.text.substr(key.begin, key.end - key.begin + 1)));
-  return decoded.is_string() && decoded.string_value() == field;
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
 }
 
-/// The value node of member `field` directly inside the object whose open
-/// entry is `open`. Every member is scanned and the LAST key match wins,
-/// replicating the DOM's duplicate-key overwrite (JsonValue::Set).
-/// NotFound (empty message — the caller owns the path text) when absent.
-/// The tape is of a validated record, so each member is exactly
-/// key ':' value, followed by ',' or the object's close.
-Result<Node> FindMember(const StructuralTape& t, size_t open,
-                        std::string_view field, uint64_t* touched) {
-  const std::vector<TapeEntry>& es = t.entries;
-  const size_t close = es[open].match;
-  size_t i = open + 1;
-  Node found;
-  bool have = false;
-  while (i < close) {
-    const uint32_t colon_pos = es[i].pos;
-    // The member's key is the last string span before its colon (es[i]).
-    auto it = std::lower_bound(
-        t.strings.begin(), t.strings.end(), colon_pos,
-        [](const StringSpan& s, uint32_t p) { return s.begin < p; });
-    --it;
-    // Value: a container hops to its close link; an atom/string runs to
-    // the next structural entry, which is this level's ',' or close.
-    Node val;
-    size_t next_i;
-    if (es[i + 1].kind == '{' || es[i + 1].kind == '[') {
-      val.open = i + 1;
-      val.begin = es[i + 1].pos;
-      val.end = es[es[i + 1].match].pos + 1;
-      next_i = es[i + 1].match + 1;
-    } else {
-      val.begin = colon_pos + 1;
-      val.end = es[i + 1].pos;
-      next_i = i + 1;
-    }
-    MAXSON_ASSIGN_OR_RETURN(const bool eq, KeyEquals(t, *it, field, touched));
-    if (eq) {
-      found = val;
-      have = true;
-    }
-    i = next_i + 1;  // past the ',' (or the close, ending the loop)
+/// True when the number token `s` renders as itself: an int64 the DOM
+/// keeps as an integer and prints back unchanged (no "-0", no leading
+/// zeros, at most 18 digits so it cannot overflow).
+bool IsPlainInteger(std::string_view s) {
+  const std::string_view digits = s.substr(s[0] == '-' ? 1 : 0);
+  if (digits.empty() || digits.size() > 18) return false;
+  if (digits[0] == '0' && s.size() > 1) return false;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return false;
   }
-  if (!have) return Status::NotFound("");
-  return found;
-}
-
-/// The value node of element `index` inside the array whose open entry is
-/// `open`. NotFound (empty message) when the index is out of range.
-/// Elements of a validated record are separated by exactly one ','.
-Result<Node> FindElement(const StructuralTape& t, size_t open, int64_t index) {
-  const std::vector<TapeEntry>& es = t.entries;
-  const size_t close = es[open].match;
-  size_t i = open + 1;
-  size_t elem_begin = es[open].pos + 1;
-  int64_t idx = 0;
-  while (true) {
-    Node val;
-    size_t sep_i;
-    if (i < close && (es[i].kind == '{' || es[i].kind == '[')) {
-      val.open = i;
-      val.begin = es[i].pos;
-      val.end = es[es[i].match].pos + 1;
-      sep_i = es[i].match + 1;
-    } else {
-      val.begin = elem_begin;
-      sep_i = i;
-      val.end = es[sep_i].pos;
-    }
-    if (idx == 0 && sep_i == close && val.open == kNone) {
-      // Sole "element" running straight to the close: an empty array when
-      // it is all whitespace.
-      const size_t nonws =
-          simd::SkipWhitespace(t.text.data(), val.end, val.begin);
-      if (nonws >= val.end) return Status::NotFound("");
-    }
-    if (idx == index) return val;
-    if (sep_i == close) return Status::NotFound("");
-    elem_begin = es[sep_i].pos + 1;
-    i = sep_i + 1;
-    ++idx;
-  }
-}
-
-/// Cursors `path` through the tape and materializes the requested value:
-/// the DOM parser runs on exactly the extracted span, so rendering is
-/// byte-identical to the baseline. A scalar root has no tape: only `$`
-/// resolves on it, to the whole record.
-Result<std::string> ResolveOnTape(const StructuralTape& t,
-                                  const JsonPath& path, uint64_t* touched) {
-  const std::vector<TapeEntry>& es = t.entries;
-  Node node;
-  if (t.root_is_container) {
-    node.open = 0;
-    node.begin = es[0].pos;
-    node.end = es[es[0].match].pos + 1;
-  } else {
-    node.end = t.text.size();
-    *touched += node.end;  // nothing to skip in a scalar document
-  }
-  for (const JsonPathStep& step : path.steps()) {
-    if (node.open == kNone) return Status::NotFound("");  // scalar mid-path
-    const char kind = es[node.open].kind;
-    if (step.kind == JsonPathStep::Kind::kField) {
-      if (kind != '{') return Status::NotFound("");
-      MAXSON_ASSIGN_OR_RETURN(node,
-                              FindMember(t, node.open, step.field, touched));
-    } else {
-      if (kind != '[') return Status::NotFound("");
-      MAXSON_ASSIGN_OR_RETURN(node, FindElement(t, node.open, step.index));
-    }
-  }
-  const std::string_view span =
-      t.text.substr(node.begin, node.end - node.begin);
-  *touched += span.size();
-  MAXSON_ASSIGN_OR_RETURN(const JsonValue value, ParseJson(span));
-  return RenderGetJsonObjectResult(value);
-}
-
-/// Rewrites the internal empty-message NotFound into the exact message the
-/// DOM path (GetJsonObject) produces, so both tiers are indistinguishable
-/// to callers.
-Result<std::string> WithPathMessage(Result<std::string> r,
-                                    const JsonPath& path) {
-  if (!r.ok() && r.status().code() == StatusCode::kNotFound) {
-    return Status::NotFound("JSONPath " + path.ToString() + " not present");
-  }
-  return r;
+  return true;
 }
 
 }  // namespace
 
-const Status& OndemandParser::Index(std::string_view json) {
-  if (memo_valid_ && json == memo_text_) {
-    // Re-aim the tape at the owned copy: a moved parser's string may have
-    // moved its bytes (short strings live inside the object).
-    tape_.text = memo_text_;
-    return memo_status_;
+OndemandParser::OndemandParser(const std::vector<JsonPath>& paths) {
+  Compile(paths);
+}
+
+void OndemandParser::Compile(const std::vector<JsonPath>& paths) {
+  trie_.assign(1, TrieNode{});
+  not_found_.clear();
+  results_.clear();
+  // The child of an edge list for `key`, appending a new node's id if new.
+  const auto child = [this](auto& edges, const auto& key) {
+    for (const auto& [k, id] : edges) {
+      if (k == key) return id;
+    }
+    edges.emplace_back(key, static_cast<uint32_t>(trie_.size()));
+    return edges.back().second;
+  };
+  for (uint32_t p = 0; p < paths.size(); ++p) {
+    uint32_t node = 0;
+    for (const JsonPathStep& step : paths[p].steps()) {
+      node = step.kind == JsonPathStep::Kind::kField
+                 ? child(trie_[node].fields, step.field)
+                 : child(trie_[node].indexes, step.index);
+      if (node == trie_.size()) trie_.emplace_back();
+    }
+    trie_[node].ends.push_back(p);
+    not_found_.push_back(
+        Status::NotFound("JSONPath " + paths[p].ToString() + " not present"));
+    results_.emplace_back(not_found_.back());
   }
-  memo_text_.assign(json);
-  memo_status_ = tape_.Build(memo_text_);
-  memo_valid_ = true;
-  if (memo_status_.ok() && tape_.root_is_container) ++records_indexed_;
-  return memo_status_;
+  for (TrieNode& n : trie_) {
+    std::sort(n.fields.begin(), n.fields.end());
+    std::sort(n.indexes.begin(), n.indexes.end());
+  }
+  found_.assign(trie_.size(), Span{});
+}
+
+void OndemandParser::Walk(std::string_view record) {
+  const Status built = tape_.Build(record);
+  if (!built.ok()) {
+    for (Result<std::string>& r : results_) r = built;
+    return;
+  }
+  Span root;
+  if (tape_.root_is_container) {
+    ++records_indexed_;
+    root.open = 0;
+    root.begin = tape_.entries[0].pos;
+    root.end = tape_.entries[tape_.entries[0].match].pos + 1;
+  } else {
+    root.begin = 0;
+    root.end = record.size();
+  }
+  Resolve(0, root);
 }
 
 Result<std::string> OndemandParser::Extract(std::string_view json,
                                             const JsonPath& path) {
-  const Status& indexed = Index(json);
-  if (!indexed.ok()) return indexed;
-  uint64_t touched = 0;
-  Result<std::string> r =
-      WithPathMessage(ResolveOnTape(tape_, path, &touched), path);
-  if (json.size() > touched) skipped_bytes_ += json.size() - touched;
-  return r;
+  Compile({path});
+  Walk(json);
+  return std::move(results_[0]);
+}
+
+void OndemandParser::Resolve(uint32_t node, const Span& value) {
+  const TrieNode& n = trie_[node];
+  for (uint32_t p : n.ends) {
+    results_[p] = value.begin == Span::kAbsent
+                      ? Result<std::string>(not_found_[p])
+                      : Render(value);
+  }
+  // Children absent from `value` resolve as absent, down to their ends.
+  for (const auto& [key, child] : n.fields) found_[child] = Span{};
+  for (const auto& [index, child] : n.indexes) found_[child] = Span{};
+  const char kind =
+      value.open == Span::kAbsent ? 0 : tape_.entries[value.open].kind;
+  if (kind == '{' && !n.fields.empty()) MatchMembers(n, value.open);
+  if (kind == '[' && !n.indexes.empty()) MatchElements(n, value.open);
+  for (const auto& [key, child] : n.fields) Resolve(child, found_[child]);
+  for (const auto& [index, child] : n.indexes) Resolve(child, found_[child]);
+}
+
+/// Scans every member of the object whose open entry is `open` once, left
+/// to right, so a later duplicate key overwrites an earlier match. The
+/// tape is of a validated record, so each member is exactly key ':' value,
+/// followed by ',' or the object's close, and its key is the string
+/// between the preceding '{' or ',' and its ':'.
+void OndemandParser::MatchMembers(const TrieNode& node, size_t open) {
+  const std::vector<TapeEntry>& es = tape_.entries;
+  const std::string_view text = tape_.text;
+  const size_t close = es[open].match;
+  size_t i = open + 1;
+  std::string decoded;
+  while (i < close) {
+    const size_t key_begin =
+        simd::SkipWhitespace(text.data(), es[i].pos, es[i - 1].pos + 1);
+    size_t key_end = es[i].pos;  // one past the key's closing quote
+    while (IsSpace(text[key_end - 1])) --key_end;
+    Span value;
+    size_t next;
+    if (es[i + 1].kind == '{' || es[i + 1].kind == '[') {
+      value.open = i + 1;
+      value.begin = es[i + 1].pos;
+      value.end = es[es[i + 1].match].pos + 1;
+      next = es[i + 1].match + 1;
+    } else {
+      value.begin = es[i].pos + 1;
+      value.end = es[i + 1].pos;
+      next = i + 1;
+    }
+    std::string_view key =
+        text.substr(key_begin + 1, key_end - key_begin - 2);
+    if (key.find('\\') != std::string_view::npos) {
+      decoded = ParseJson(text.substr(key_begin, key_end - key_begin))
+                    ->string_value();
+      key = decoded;
+    }
+    const auto it = std::lower_bound(
+        node.fields.begin(), node.fields.end(), key,
+        [](const auto& field, std::string_view k) { return field.first < k; });
+    if (it != node.fields.end() && it->first == key) {
+      found_[it->second] = value;
+    } else if (value.open != Span::kAbsent) {
+      skipped_bytes_ += value.end - value.begin;
+    }
+    i = next + 1;  // past the ',' (or the close, ending the loop)
+  }
+}
+
+/// Visits the elements of the array whose open entry is `open` up to the
+/// largest requested index. Elements of a validated record are separated
+/// by exactly one ','.
+void OndemandParser::MatchElements(const TrieNode& node, size_t open) {
+  const std::vector<TapeEntry>& es = tape_.entries;
+  const size_t close = es[open].match;
+  size_t i = open + 1;
+  size_t elem_begin = es[open].pos + 1;
+  size_t want = 0;
+  for (int64_t idx = 0; want < node.indexes.size(); ++idx) {
+    Span value;
+    size_t sep;
+    if (i < close && (es[i].kind == '{' || es[i].kind == '[')) {
+      value.open = i;
+      value.begin = es[i].pos;
+      value.end = es[es[i].match].pos + 1;
+      sep = es[i].match + 1;
+    } else {
+      value.begin = elem_begin;
+      value.end = es[i].pos;
+      sep = i;
+      // A sole "element" that is all whitespace is an empty array.
+      if (idx == 0 && sep == close &&
+          simd::SkipWhitespace(tape_.text.data(), value.end, value.begin) >=
+              value.end) {
+        return;
+      }
+    }
+    if (node.indexes[want].first == idx) {
+      found_[node.indexes[want++].second] = value;
+    }
+    if (sep == close) return;
+    elem_begin = es[sep].pos + 1;
+    i = sep + 1;
+  }
+}
+
+/// The get_json_object rendering of `value`; NotFound-free by
+/// construction (an unmatched value never reaches here).
+Result<std::string> OndemandParser::Render(const Span& value) const {
+  const std::string_view text = tape_.text;
+  size_t begin = value.begin;
+  size_t end = value.end;
+  if (value.open == Span::kAbsent) {
+    begin = simd::SkipWhitespace(text.data(), end, begin);
+    while (IsSpace(text[end - 1])) --end;
+    const std::string_view raw = text.substr(begin, end - begin);
+    if (raw[0] == '"') {
+      const std::string_view inner = raw.substr(1, raw.size() - 2);
+      if (inner.find('\\') == std::string_view::npos) {
+        return std::string(inner);
+      }
+    } else if (raw[0] == 't' || raw[0] == 'f' || raw[0] == 'n' ||
+               IsPlainInteger(raw)) {
+      return std::string(raw);
+    }
+  }
+  MAXSON_ASSIGN_OR_RETURN(const JsonValue parsed,
+                          ParseJson(text.substr(begin, end - begin)));
+  return RenderGetJsonObjectResult(parsed);
 }
 
 }  // namespace maxson::json

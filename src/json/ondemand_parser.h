@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "json/json_path.h"
@@ -12,64 +14,77 @@
 namespace maxson::json {
 
 /// Forward-only, lazily-materializing JSON parser in the spirit of
-/// On-Demand (Keiser & Lemire): one SIMD classification pass
-/// (simd::ClassifyJsonFull) builds a per-record tape of structural
-/// positions, and JSONPaths are resolved by cursoring through the tape —
-/// sibling subtrees the query never asked for are skipped via the tape's
-/// open/close match links without materializing them. This is the
-/// engine's default uncached extraction tier.
+/// On-Demand (Keiser & Lemire), extended from one path to a trie of paths:
+/// one SIMD classification pass (simd::ClassifyJsonFull) builds a
+/// per-record tape of structural positions, and one forward walk over the
+/// tape resolves every compiled path. The walk visits each object level
+/// once, matching member keys against the trie's children, and hops over
+/// every subtree no path descends into via the tape's open/close links.
+/// This is the engine's default uncached extraction tier.
 ///
-/// Contract vs the DOM baseline (json::GetJsonObject): every call returns
-/// exactly what GetJsonObject returns for the same record and path — the
-/// same bytes on success, the same status code on error, and the same
-/// NotFound message for a missing path.
+/// Contract vs the DOM baseline (json::GetJsonObject): result i is exactly
+/// what GetJsonObject returns for the same record and path i — the same
+/// bytes on success, the same status code on error, and the same NotFound
+/// message for a missing path.
 ///   - Validation: every tape build first runs json::ValidateJson, which is
 ///     the DOM parser's own grammar with a sink that builds nothing. A
-///     record is indexed only if the DOM would accept it; any other record
-///     returns the DOM's ParseError, including garbage inside subtrees the
-///     query skips.
-///   - Rendering: requested values are materialized by running the DOM
-///     parser on exactly the extracted span and rendering with
-///     RenderGetJsonObjectResult. Duplicate keys resolve to the last
-///     occurrence, matching JsonValue::Set overwrite.
-///   - Memo: the parser keeps an owned copy of the last record it indexed,
-///     with its tape and build status. A call on the same bytes (a row's k
-///     get_json_object calls) reuses them, so one row pays one validation
-///     and one classification pass. The key is the bytes, not the
-///     address, so a caller may reuse or mutate its buffer between calls.
-/// The engine still falls back to the DOM parser on any ParseError, so
-/// query results never depend on this tier.
+///     record is walked only if the DOM would accept it; any other record
+///     returns the DOM's ParseError for every path, including garbage
+///     inside subtrees the walk skips.
+///   - Rendering: a value is returned as its raw bytes when those are
+///     byte-identical to the DOM's rendering (an unescaped string's
+///     contents, true/false/null, an integer without sign-zero or leading
+///     zeros that fits int64); anything else — escaped strings, other
+///     numbers, containers — runs the DOM parser on exactly its span and
+///     renders with RenderGetJsonObjectResult. Duplicate keys resolve to
+///     the last occurrence, matching JsonValue::Set overwrite, because the
+///     walk sees the whole level before descending.
 class OndemandParser {
  public:
-  OndemandParser() = default;
+  /// Compiles `paths` into the trie: paths sharing a prefix share its
+  /// nodes, and identical paths share one.
+  explicit OndemandParser(const std::vector<JsonPath>& paths = {});
 
-  /// Resolves `path` within `json`, rendered get_json_object-style.
+  /// Validates and indexes `record` and resolves every compiled path in one
+  /// walk; result(i) then holds path i's value or error until the next Walk.
+  void Walk(std::string_view record);
+  const Result<std::string>& result(size_t i) const { return results_[i]; }
+
+  /// One path over `json`: compiles a one-path trie and walks it.
   Result<std::string> Extract(std::string_view json, const JsonPath& path);
 
-  /// Telemetry across all Extract calls: tapes built for
-  /// container-rooted records (a memo hit builds none), and bytes the
-  /// cursor skipped past without materializing, summed per call (record
-  /// size minus materialized value spans and compared keys).
+  /// Telemetry across all walks: tapes built for container-rooted records,
+  /// and bytes inside the subtrees the walk hopped over.
   uint64_t records_indexed() const { return records_indexed_; }
   uint64_t skipped_bytes() const { return skipped_bytes_; }
 
-  /// Adds another parser's telemetry to this one; same merge discipline as
-  /// MisonParser::AbsorbTelemetry (one parser per worker, folded in order).
-  void AbsorbTelemetry(const OndemandParser& other) {
-    records_indexed_ += other.records_indexed_;
-    skipped_bytes_ += other.skipped_bytes_;
-  }
-
  private:
-  /// Validates and indexes `json` into tape_, or reuses the memo when
-  /// `json` has the same bytes as the last record. Returns the build
-  /// status (OK, or the DOM's ParseError for the record).
-  const Status& Index(std::string_view json);
+  /// A value in the record: a container (tape index of its open entry) or
+  /// a scalar; `begin`/`end` bound its bytes. `begin == kAbsent` marks a
+  /// trie child the walk has not matched at the current level.
+  struct Span {
+    static constexpr size_t kAbsent = ~size_t{0};
+    size_t open = kAbsent;
+    size_t begin = kAbsent;
+    size_t end = 0;
+  };
+  struct TrieNode {
+    std::vector<std::pair<std::string, uint32_t>> fields;  // sorted by key
+    std::vector<std::pair<int64_t, uint32_t>> indexes;     // ascending
+    std::vector<uint32_t> ends;  // paths that end at this node
+  };
 
-  ondemand_internal::StructuralTape tape_;  // built over memo_text_
-  std::string memo_text_;
-  Status memo_status_;
-  bool memo_valid_ = false;
+  void Compile(const std::vector<JsonPath>& paths);
+  void Resolve(uint32_t node, const Span& value);
+  void MatchMembers(const TrieNode& node, size_t open);
+  void MatchElements(const TrieNode& node, size_t open);
+  Result<std::string> Render(const Span& value) const;
+
+  std::vector<TrieNode> trie_;
+  std::vector<Span> found_;           // per trie node, for the current level
+  std::vector<Status> not_found_;     // per path: GetJsonObject's NotFound
+  std::vector<Result<std::string>> results_;
+  ondemand_internal::StructuralTape tape_;
   uint64_t records_indexed_ = 0;
   uint64_t skipped_bytes_ = 0;
 };

@@ -24,25 +24,15 @@ struct TapeEntry {
   char kind;       // the structural character itself
 };
 
-/// A string literal: byte offsets of its opening and closing quotes.
-struct StringSpan {
-  uint32_t begin;
-  uint32_t end;
-};
-
 /// Reusable per-record scratch for the on-demand tier: the classification
-/// bitmaps, the structural tape, and the string spans (ascending by
-/// `begin`; key lookup binary-searches them). One instance per worker —
-/// Build clears and refills, so the vectors' capacity amortizes across the
-/// records of a scan split.
+/// bitmaps and the structural tape. One instance per walker — Build clears
+/// and refills, so the vectors' capacity amortizes across records.
 struct StructuralTape {
   std::string_view text;
   std::vector<uint64_t> quotes;
   std::vector<uint64_t> backslashes;
   std::vector<uint64_t> structurals;
-  std::vector<uint64_t> string_mask;
   std::vector<TapeEntry> entries;
-  std::vector<StringSpan> strings;
   std::vector<uint32_t> stack;     // open-container work stack for Build
   bool root_is_container = false;  // false: scalar root, tape unused
 

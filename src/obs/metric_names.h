@@ -38,14 +38,10 @@ inline constexpr char kQueryReadSeconds[] = "maxson_query_read_seconds";
 inline constexpr char kQueryParseSeconds[] = "maxson_query_parse_seconds";
 inline constexpr char kQueryComputeSeconds[] = "maxson_query_compute_seconds";
 
-// --- On-demand parsing tier (engine.cc, table_scan.cc) ---
-/// Records resolved by tape cursoring instead of a full DOM parse.
+// --- On-demand parsing tier (engine.cc) ---
+/// Rows walked by operator scopes' path references, one per row and
+/// source column instead of a full DOM parse per get_json_object call.
 inline constexpr char kOndemandRecords[] = "maxson_ondemand_records_total";
-/// Input bytes the forward-only cursor skipped without token-parsing.
-inline constexpr char kOndemandSkippedBytes[] =
-    "maxson_ondemand_skipped_bytes_total";
-/// Records that hit an on-demand error and re-parsed through the DOM tier.
-inline constexpr char kOndemandFallbacks[] = "maxson_ondemand_fallbacks_total";
 
 // --- Planning and validation (engine.cc) ---
 inline constexpr char kPlanValidationFailures[] =

@@ -6,8 +6,10 @@
 // numbers, garbage inside skipped subtrees) — and must produce
 // byte-identical values or identical errors. Also here: the validator
 // fuzz differential (json::ValidateJson accepts iff json::ParseJson does),
-// the one-record memo, and an engine-level differential that runs the
-// Table II queries and a table of malformed rows with the tier on and off.
+// the walk differential (k paths from one trie walk equal k GetJsonObject
+// calls), and an engine-level oracle that runs the Table II queries, one
+// query per operator scope and a table of malformed rows under every
+// configuration of backend, tier, thread count and ISA.
 
 #include <filesystem>
 #include <string>
@@ -66,10 +68,9 @@ JsonPath MustParsePath(const std::string& text) {
 /// The oracle: the two tiers must be indistinguishable — identical bytes
 /// on success, and on error the same status code and message (the
 /// on-demand tier's errors come from the DOM grammar itself).
-void ExpectStrict(OndemandParser* parser, const std::string& doc,
-                  const JsonPath& path) {
+void ExpectSame(const Result<std::string>& ond, const std::string& doc,
+                const JsonPath& path) {
   const Result<std::string> dom = json::GetJsonObject(doc, path);
-  const Result<std::string> ond = parser->Extract(doc, path);
   if (dom.ok()) {
     ASSERT_TRUE(ond.ok()) << "on-demand error '" << ond.status().message()
                           << "' where DOM succeeded, doc=" << doc
@@ -84,6 +85,23 @@ void ExpectStrict(OndemandParser* parser, const std::string& doc,
       << "doc=" << doc << " path=" << path.ToString();
   EXPECT_EQ(ond.status().message(), dom.status().message())
       << "doc=" << doc << " path=" << path.ToString();
+}
+
+void ExpectStrict(OndemandParser* parser, const std::string& doc,
+                  const JsonPath& path) {
+  ExpectSame(parser->Extract(doc, path), doc, path);
+}
+
+/// k paths from one walk against k GetJsonObject calls.
+void ExpectWalkMatchesDom(const std::string& doc,
+                          const std::vector<std::string>& path_texts) {
+  std::vector<JsonPath> paths;
+  for (const std::string& t : path_texts) paths.push_back(MustParsePath(t));
+  OndemandParser walker(paths);
+  walker.Walk(doc);
+  for (size_t i = 0; i < paths.size(); ++i) {
+    ExpectSame(walker.result(i), doc, paths[i]);
+  }
 }
 
 /// Workload-generator documents across the schema shapes the generator
@@ -351,109 +369,116 @@ TEST(OndemandParserTest, SkippedSubtreeGarbageFailsLikeDom) {
   }
 }
 
-TEST(OndemandParserTest, TelemetryCountsAndAbsorbs) {
-  OndemandParser a;
-  const JsonPath path = MustParsePath("$.a");
+TEST(OndemandWalkTest, DuplicateKeysLastWinsAtEveryLevel) {
+  const std::vector<std::string> paths = {"$.a", "$.a.b", "$.a.b[1]",
+                                          "$.a.c", "$.x.a.b[1]", "$.x.a.c",
+                                          "$.x",  "$.x.a"};
+  for (const char* doc : {
+           R"({"a":1,"a":{"b":[2,3]}})",             // scalar, then container
+           R"({"a":{"b":[2,3]},"a":1})",             // container, then scalar
+           R"({"a":{"b":1},"z":0,"a":{"b":[4,5],"b":{"c":6}}})",
+           R"({"x":{"a":[1],"a":{"b":[5,6]}},"x":{"a":{"b":[7,8]},"a":{"c":1}}})",
+           R"({"x":{"a":{"c":2},"a":3},"x":{"a":{"c":4,"c":[9]}}})",
+       }) {
+    ExpectWalkMatchesDom(doc, paths);
+  }
+}
+
+TEST(OndemandWalkTest, EscapedKeysMatchTheirDecodedText) {
+  const std::vector<std::string> paths = {"$.a", "$.a.b", "$.ab", "$.b"};
+  for (const char* doc : {
+           R"({"\u0061":1,"a":2})",
+           R"({"a":1,"\u0061":{"b":2}})",
+           R"({"\u0061\u0062":3,"a":{"\u0062":[1]}})",
+           R"({"k\"ey":"q","a":{"b":"c"}})",
+       }) {
+    ExpectWalkMatchesDom(doc, paths);
+  }
+}
+
+TEST(OndemandWalkTest, SharedPrefixesAndRepeatedPaths) {
+  ExpectWalkMatchesDom(
+      R"({"a":{"b":[0,{"c":1},2]},"d":1,"e":[[],{}]})",
+      {"$.a", "$.a.b", "$.a.b[1]", "$.a.b[1].c", "$.a.b[1]", "$.a",
+       "$.a.b[2]", "$.a.b[5]", "$.d", "$.a.x", "$.e[0]", "$.e[1]",
+       "$.e[0][0]", "$.d.x", "$.a.b.c", "$['a']['b'][0]"});
+}
+
+TEST(OndemandWalkTest, RootsScalarsAndEmptyContainers) {
+  const std::vector<std::string> paths = {"$", "$.a", "$[0]", "$[1][1]",
+                                          "$[2]", "$[0].a", "$", "$[1]"};
+  for (const char* doc : {"{}", "[]", "[ ]", "{ }", "42", " \"s\" ",
+                          "null", "true", "-0", "[1,[2,[]],{}]",
+                          " { \"a\" : [ ] } ", "[{},[ ],-0.5]"}) {
+    ExpectWalkMatchesDom(doc, paths);
+  }
+}
+
+TEST(OndemandWalkTest, ValidatorRejectedRecordsFailEveryPathLikeDom) {
+  const std::vector<std::string> paths = {"$", "$.a", "$.junk", "$[0]"};
+  for (const char* doc : {"{\"a\":1", R"({"junk":truu,"a":1})", "[1 2]",
+                          "", "   ", R"({"a":1,})", R"({"a":"\q"})",
+                          R"({"a":01})"}) {
+    ExpectWalkMatchesDom(doc, paths);
+  }
+}
+
+TEST(OndemandWalkTest, RenderFastPathNeverShortcutsADifferentRendering) {
   const std::string doc =
-      R"({"a":1,"big":"0123456789012345678901234567890123456789"})";
-  ASSERT_TRUE(a.Extract(doc, path).ok());
-  ASSERT_TRUE(a.Extract(doc, path).ok());
-  // The second call hits the memo: one tape, skipped bytes for both calls.
-  EXPECT_EQ(a.records_indexed(), 1u);
-  const uint64_t skipped = a.skipped_bytes();
-  EXPECT_GT(skipped, 0u);
-  // Scalar roots get no tape and are not counted as indexed.
-  EXPECT_FALSE(a.Extract("42", path).ok());
-  EXPECT_EQ(a.records_indexed(), 1u);
-  OndemandParser b;
-  ASSERT_TRUE(b.Extract(doc, path).ok());
-  b.AbsorbTelemetry(a);
-  EXPECT_EQ(b.records_indexed(), 2u);
-  EXPECT_EQ(b.skipped_bytes(), skipped + skipped / 2);
+      R"({"n":-0,"m":1.0,"e":1e2,"E":1E-2,"big":12345678901234567890,)"
+      R"("i18":123456789012345678,"i19":1234567890123456789,)"
+      R"("min":-9223372036854775808,"z":0,"neg":-12,"lead":-0.0,)"
+      R"("s":"a\"b","u":"é","t":"tab\tx","plain":"p q",)"
+      R"("bt":true,"bf":false,"nl":null,"ws": 7 ,"sws": "x" ,)"
+      R"("o":{ "k" : [ 1 , 2 ] },"dup":{"k":1,"k":2}})";
+  ExpectWalkMatchesDom(
+      doc, {"$.n", "$.m", "$.e", "$.E", "$.big", "$.i18", "$.i19", "$.min",
+            "$.z", "$.neg", "$.lead", "$.s", "$.u", "$.t", "$.plain", "$.bt",
+            "$.bf", "$.nl", "$.ws", "$.sws", "$.o", "$.o.k", "$.dup", "$"});
 }
 
-TEST(OndemandParserTest, MemoSeesBufferMutatedInPlace) {
-  // The memo is keyed on bytes, not on the buffer's address: rewriting a
-  // buffer between calls (as a reader reusing one buffer would) must
-  // rebuild the tape.
-  OndemandParser parser;
-  const JsonPath a = MustParsePath("$.a");
-  std::string buffer = R"({"a":1,"b":[true,false]})";
-  const char* const address = buffer.data();
-  ASSERT_EQ(*parser.Extract(buffer, a), "1");
-  buffer[5] = '7';
-  ASSERT_EQ(buffer.data(), address);
-  ExpectStrict(&parser, buffer, a);
-  EXPECT_EQ(*parser.Extract(buffer, a), "7");
-  buffer[5] = 'x';  // now malformed, same address and length
-  ExpectStrict(&parser, buffer, a);
-  buffer[5] = '9';
-  EXPECT_EQ(*parser.Extract(buffer, a), "9");
-  EXPECT_EQ(parser.records_indexed(), 3u);
-}
-
-TEST(OndemandParserTest, MemoAlternatingRecordsMatchDom) {
-  const std::vector<std::string> docs = WorkloadDocuments(2);
-  const std::vector<JsonPath> paths = {MustParsePath("$.f0"),
-                                       MustParsePath("$.f3.n0.leaf"),
-                                       MustParsePath("$.nope")};
+TEST(OndemandWalkTest, WorkloadDocumentsAndFuzzInOneWalk) {
+  const std::vector<std::string> workload_paths = {
+      "$.f0",      "$.f1",         "$.f2",            "$.f3",  "$.f4",
+      "$.f16",     "$.blob",       "$.missing",       "$.f3.leaf",
+      "$.f3.n0.leaf", "$.f3.n0.n1.leaf", "$.f0[0]", "$.f3.missing", "$"};
+  static const char kAlphabet[] = "\"\\{}:,ab \t\n[]0.-e";
+  Rng rng{191};
+  std::vector<std::string> fuzz;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string s;
+    const size_t len = 1 + rng.NextBounded(120);
+    for (size_t i = 0; i < len; ++i) {
+      s.push_back(kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)]);
+    }
+    fuzz.push_back(s);
+  }
   for (Isa level : SupportedLevels()) {
     IsaGuard guard(level);
-    OndemandParser parser;
-    for (size_t i = 0; i + 1 < docs.size(); ++i) {
-      for (const JsonPath& path : paths) {
-        ExpectStrict(&parser, docs[i], path);
-        ExpectStrict(&parser, docs[i + 1], path);
-      }
+    for (const std::string& doc : WorkloadDocuments(10)) {
+      ExpectWalkMatchesDom(doc, workload_paths);
+    }
+    for (const std::string& doc : fuzz) {
+      ExpectWalkMatchesDom(doc, {"$.a", "$.ab", "$[0]", "$[2]", "$.a[1].b",
+                                 "$", "$.a[1]", "$[0].a"});
     }
   }
 }
 
-TEST(OndemandParserTest, MemoMalformedRecordThenValidRecord) {
-  OndemandParser parser;
-  const JsonPath b = MustParsePath("$.b");
-  const std::string bad = R"({"junk":[1 2],"b":2})";
-  const std::string good = R"({"junk":[1,2],"b":2})";
-  ExpectStrict(&parser, bad, b);
-  ExpectStrict(&parser, bad, b);  // memo hit on the cached error
-  EXPECT_EQ(parser.records_indexed(), 0u);
-  ExpectStrict(&parser, good, b);
-  EXPECT_EQ(*parser.Extract(good, b), "2");
-  EXPECT_EQ(parser.records_indexed(), 1u);
-  ExpectStrict(&parser, bad, b);
-}
-
-TEST(OndemandParserTest, KExtractCallsOnOneRecordShareOneTape) {
-  OndemandParser parser;
-  const std::string doc =
-      R"({"a":1,"b":{"c":"two"},"d":[10,20,30],"pad":"xxxxxxxxxxxxxxxx"})";
-  const std::string other = R"({"a":"other"})";
-  const std::vector<JsonPath> paths = {
-      MustParsePath("$.a"), MustParsePath("$.b.c"), MustParsePath("$.d[2]"),
-      MustParsePath("$.nope")};
-  // A row's k calls: one tape, every value (and the missing path's
-  // message) as DOM's, and the untouched padding counts as skipped.
-  for (const JsonPath& path : paths) ExpectStrict(&parser, doc, path);
-  EXPECT_EQ(parser.records_indexed(), 1u);
-  EXPECT_GT(parser.skipped_bytes(), 0u);
-  // Another record in between costs one tape, and coming back one more
-  // for all k calls.
-  ExpectStrict(&parser, other, paths[0]);
-  for (const JsonPath& path : paths) ExpectStrict(&parser, doc, path);
-  EXPECT_EQ(parser.records_indexed(), 3u);
-  // A record the validator rejects fails every call as DOM does and
-  // builds no tape.
-  for (const JsonPath& path : paths) {
-    ExpectStrict(&parser, R"({"a":1)", path);
-  }
-  EXPECT_EQ(parser.records_indexed(), 3u);
-  // A moved parser keeps a usable memo, also for a short record, whose
-  // bytes live inside the string object and so move with it.
-  OndemandParser fresh;
-  ExpectStrict(&fresh, other, paths[0]);
-  OndemandParser moved = std::move(fresh);
-  ExpectStrict(&moved, other, MustParsePath("$"));
-  ExpectStrict(&moved, other, paths[0]);
+TEST(OndemandWalkTest, TelemetryCountsTapesAndHoppedSubtrees) {
+  OndemandParser walker({MustParsePath("$.a"), MustParsePath("$.b[0]")});
+  walker.Walk(R"({"a":1,"skip":{"x":[1,2,3]},"b":[4,{"y":5}]})");
+  EXPECT_EQ(*walker.result(0), "1");
+  EXPECT_EQ(*walker.result(1), "4");
+  EXPECT_EQ(walker.records_indexed(), 1u);
+  // The unrequested object is hopped whole; the array the walk descends
+  // into is not, and its elements past the last requested index are never
+  // visited.
+  EXPECT_EQ(walker.skipped_bytes(), std::string(R"({"x":[1,2,3]})").size());
+  walker.Walk("42");        // scalar root: no tape
+  walker.Walk(R"({"a":)");  // rejected by the validator: no tape
+  EXPECT_EQ(walker.records_indexed(), 1u);
+  EXPECT_FALSE(walker.result(0).ok());
 }
 
 // ---------- Engine level: the tier on and off give the same rows ----------
@@ -552,25 +577,52 @@ class OndemandEngineDifferentialTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.CreateTable(info).ok());
   }
 
-  /// Fingerprint of every query's result under one configuration.
-  std::vector<std::string> RunAll(const std::vector<std::string>& sqls,
-                                  bool ondemand, size_t threads) {
+  /// One configuration's answers: per query the result fingerprint, the
+  /// records parsed (one per get_json_object site evaluated, whatever the
+  /// tier), and every deterministic counter including the per-operator
+  /// counts EXPLAIN ANALYZE prints.
+  struct Answers {
+    std::vector<std::string> prints;
+    std::vector<std::string> parsed;
+    std::vector<std::string> counters;
+  };
+
+  Answers RunAll(const std::vector<std::string>& sqls,
+                 engine::JsonBackend backend, bool ondemand, size_t threads) {
     engine::EngineConfig config;
+    config.json_backend = backend;
     config.enable_ondemand = ondemand;
     config.num_threads = threads;
     engine::QueryEngine engine(&catalog_, config);
-    std::vector<std::string> prints;
+    Answers answers;
     for (const std::string& sql : sqls) {
       auto result = engine.Execute(sql);
       EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
       if (!result.ok()) {
-        prints.push_back(result.status().ToString());
+        answers.prints.push_back(result.status().ToString());
+        answers.parsed.emplace_back();
+        answers.counters.emplace_back();
         continue;
       }
       EXPECT_GT(result->batch.num_rows(), 0u) << sql;
-      prints.push_back(engine::FingerprintBatch(result->batch));
+      answers.prints.push_back(engine::FingerprintBatch(result->batch));
+      const engine::QueryMetrics& m = result->metrics;
+      answers.parsed.push_back(std::to_string(m.parse.records_parsed) + "/" +
+                               std::to_string(m.parse.bytes_parsed));
+      std::string counters =
+          answers.parsed.back() + " read=" +
+          std::to_string(m.read.rows_read) + "/" +
+          std::to_string(m.read.bytes_read) +
+          " walked=" + std::to_string(m.ondemand_records);
+      for (const engine::OperatorStats& op : m.operators) {
+        counters += " " + op.name + ":" + std::to_string(op.rows_in) + ">" +
+                    std::to_string(op.rows_out) + "/" +
+                    std::to_string(op.paths) + "p" +
+                    std::to_string(op.rows_walked) + "w";
+      }
+      answers.counters.push_back(std::move(counters));
     }
-    return prints;
+    return answers;
   }
 
   std::string warehouse_;
@@ -578,9 +630,31 @@ class OndemandEngineDifferentialTest : public ::testing::Test {
   std::vector<workload::BenchmarkQuery> queries_;
 };
 
-TEST_F(OndemandEngineDifferentialTest, SameRowsWithTierOnAndOff) {
+TEST_F(OndemandEngineDifferentialTest, SameAnswersUnderEveryConfiguration) {
   std::vector<std::string> sqls;
   for (const workload::BenchmarkQuery& q : queries_) sqls.push_back(q.sql);
+  // One query per operator scope a path can be bound in, plus the sites
+  // that stay on the builtin (a nested call, a non-string column).
+  sqls.push_back(
+      "SELECT a.id, get_json_object(b.payload, '$.f1') AS c FROM bench.T1 a "
+      "JOIN bench.T2 b ON get_json_object(a.payload, '$.f0') = "
+      "get_json_object(b.payload, '$.f0')");
+  sqls.push_back(
+      "SELECT get_json_object(payload, '$.f1') AS c, COUNT(*) AS n "
+      "FROM bench.T5 GROUP BY c HAVING "
+      "MAX(to_int(get_json_object(payload, '$.f0'))) > 20 AND "
+      "get_json_object(payload, '$.f1') IS NOT NULL ORDER BY c");
+  sqls.push_back(
+      "SELECT id FROM bench.T7 "
+      "ORDER BY get_json_object(payload, '$.f2') DESC, id LIMIT 50");
+  sqls.push_back(
+      "SELECT id, get_json_object(payload, '$.f1') AS c FROM bench.T8 "
+      "WHERE get_json_object(payload, '$.f1') IS NOT NULL AND "
+      "to_int(get_json_object(payload, '$.f0')) > 50");
+  sqls.push_back(
+      "SELECT id, get_json_object(get_json_object(payload, '$.b'), '$.c') "
+      "AS c FROM bad.rows");
+  sqls.push_back("SELECT id, get_json_object(id, '$') AS j FROM bad.rows");
   sqls.push_back(
       "SELECT id, get_json_object(payload, '$.a') AS a, "
       "get_json_object(payload, '$.b.c') AS c, "
@@ -594,24 +668,59 @@ TEST_F(OndemandEngineDifferentialTest, SameRowsWithTierOnAndOff) {
       "SUM(to_double(get_json_object(payload, '$.a'))) AS total "
       "FROM bad.rows GROUP BY c ORDER BY c");
 
+  // Each backend's reference is its own tier-off, one-thread run: Mison
+  // is speculative and answers malformed records differently from the
+  // DOM, which is the Spark+Mison baseline's behaviour, not the tier's.
   std::vector<Isa> levels = {Isa::kScalar};
   if (simd::BestSupportedIsa() >= Isa::kAvx2) levels.push_back(Isa::kAvx2);
-  const std::vector<std::string> reference =
-      RunAll(sqls, /*ondemand=*/false, /*threads=*/1);
-  for (Isa level : levels) {
-    IsaGuard guard(level);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
+  for (engine::JsonBackend backend :
+       {engine::JsonBackend::kDom, engine::JsonBackend::kMison}) {
+    const Answers reference = RunAll(sqls, backend, /*ondemand=*/false, 1);
+    for (Isa level : levels) {
+      IsaGuard guard(level);
       for (bool ondemand : {false, true}) {
-        const std::vector<std::string> got = RunAll(sqls, ondemand, threads);
-        ASSERT_EQ(got.size(), reference.size());
+        const Answers one = RunAll(sqls, backend, ondemand, 1);
+        const Answers four = RunAll(sqls, backend, ondemand, 4);
+        ASSERT_EQ(one.prints.size(), reference.prints.size());
+        ASSERT_EQ(four.prints.size(), reference.prints.size());
         for (size_t i = 0; i < sqls.size(); ++i) {
-          EXPECT_EQ(got[i], reference[i])
-              << simd::IsaName(level) << " threads=" << threads
-              << " ondemand=" << ondemand << ": " << sqls[i];
+          const std::string where =
+              std::string(simd::IsaName(level)) +
+              (backend == engine::JsonBackend::kDom ? " dom" : " mison") +
+              " ondemand=" + (ondemand ? "on: " : "off: ") + sqls[i];
+          EXPECT_EQ(one.prints[i], reference.prints[i]) << where;
+          EXPECT_EQ(four.prints[i], reference.prints[i]) << where;
+          EXPECT_EQ(one.parsed[i], reference.parsed[i]) << where;
+          EXPECT_EQ(four.counters[i], one.counters[i]) << where;
         }
       }
     }
   }
+}
+
+TEST_F(OndemandEngineDifferentialTest, ExplainAnalyzeShowsWhereParsingHappened) {
+  // Q6 projects 29 paths of one column after a date filter: the filter
+  // binds none, and the projection walks each surviving row once.
+  const workload::BenchmarkQuery& q6 = queries_[5];
+  ASSERT_EQ(q6.name, "Q6");
+  engine::EngineConfig config;
+  config.num_threads = 1;
+  engine::QueryEngine engine(&catalog_, config);
+  auto result = engine.Execute("EXPLAIN ANALYZE " + q6.sql);
+  ASSERT_TRUE(result.ok()) << result.status();
+  std::string text;
+  for (size_t r = 0; r < result->batch.num_rows(); ++r) {
+    text += result->batch.column(0).GetString(r) + "\n";
+  }
+  EXPECT_NE(text.find("Project ("), std::string::npos) << text;
+  EXPECT_NE(text.find("rows_in=134 rows_out=134 chunks=1 paths=29 walked=134"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("Filter ("), std::string::npos) << text;
+  EXPECT_EQ(text.find("paths=29 walked=200"), std::string::npos) << text;
+  const engine::QueryMetrics& m = result->metrics;
+  EXPECT_EQ(m.ondemand_records, 134u);
+  EXPECT_EQ(m.parse.records_parsed, 29u * 134u);
 }
 
 }  // namespace

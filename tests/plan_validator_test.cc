@@ -117,6 +117,59 @@ TEST(PlanValidatorTest, RawSargOnUnknownColumnFails) {
       << status;
 }
 
+/// MakeValidPlan plus get_json_object(payload, '$.a') bound to slot 0 of
+/// the projection scope, as the planner binds it.
+PhysicalPlan MakePathPlan() {
+  PhysicalPlan plan = MakeValidPlan();
+  std::vector<ExprPtr> args;
+  args.push_back(BoundColumn("payload", 1));
+  args.push_back(Expr::Literal(Value::String("$.a")));
+  ExprPtr call = Expr::Function("get_json_object", std::move(args));
+  call->path_slot = 0;
+  plan.projections.push_back(std::move(call));
+  plan.projection_names.push_back("a");
+  plan.paths[static_cast<size_t>(PathScope::kProject)].push_back({1, "$.a"});
+  return plan;
+}
+
+void ExpectPathBindingViolation(const PhysicalPlan& plan,
+                                const std::string& detail) {
+  const Status status = ValidatePlan(plan, nullptr);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("[path-binding]"), std::string::npos)
+      << status;
+  EXPECT_NE(status.message().find(detail), std::string::npos) << status;
+}
+
+TEST(PlanValidatorTest, BoundPathReferencePasses) {
+  EXPECT_TRUE(ValidatePlan(MakePathPlan(), nullptr).ok());
+}
+
+TEST(PlanValidatorTest, PathReferenceOutsideItsScopesListFails) {
+  PhysicalPlan plan = MakePathPlan();
+  plan.projections.back()->path_slot = 3;
+  ExpectPathBindingViolation(plan, "names slot 3 of a 1-path scope");
+  // The slot recorded under another operator's scope is just as absent.
+  PhysicalPlan moved = MakePathPlan();
+  std::swap(moved.paths[static_cast<size_t>(PathScope::kProject)],
+            moved.paths[static_cast<size_t>(PathScope::kFilter)]);
+  ExpectPathBindingViolation(moved, "names slot 0 of a 0-path scope");
+}
+
+TEST(PlanValidatorTest, PathReferenceOnNonStringColumnFails) {
+  PhysicalPlan plan = MakePathPlan();
+  Expr& call = *plan.projections.back();
+  call.children[0] = BoundColumn("id", 0);
+  plan.paths[static_cast<size_t>(PathScope::kProject)][0].column = 0;
+  ExpectPathBindingViolation(plan, "is not a literal path over a string");
+}
+
+TEST(PlanValidatorTest, PathReferenceReadingAnotherSitesSlotFails) {
+  PhysicalPlan plan = MakePathPlan();
+  plan.paths[static_cast<size_t>(PathScope::kProject)][0].path = "$.b";
+  ExpectPathBindingViolation(plan, "does not read its slot");
+}
+
 TEST(PlanValidatorTest, FilterProjectSchemaMismatchFails) {
   PhysicalPlan plan = MakeValidPlan();
   // Scan output is (id, payload): the filter's 'payload' reference carries

@@ -16,17 +16,20 @@
 #           parser's differential suite also re-runs standalone (native and
 #           MAXSON_FORCE_ISA=scalar): its cursor arithmetic over SIMD-built
 #           bitmaps is the code most likely to hide an off-by-one. That
-#           binary also holds the ValidateJson-vs-ParseJson fuzz, the memo
-#           tests and the engine differential (Table II queries plus
-#           malformed rows, tier on vs off, threads {1,4}). The CORC
+#           binary also holds the ValidateJson-vs-ParseJson fuzz, the
+#           walk-vs-DOM suite and the engine oracle (Table II queries, one
+#           query per operator scope and malformed rows under backend x
+#           tier x threads {1,4} x ISA). The CORC
 #           encoding suite (dict/RLE/block codecs + fuzzed malformed
 #           streams) re-runs standalone the same two ways: decoders read
 #           attacker-controlled bytes.
 #   tsan    ThreadSanitizer build + full test suite (the parallel execution
 #           runtime must be race-clean); the metrics-determinism test, the
-#           CacheRegistry stress test, the serving-layer test, and the
-#           shared-scan executor test also run standalone so a racy counter,
-#           serving race, or scan-sharing race fails loudly by name.
+#           CacheRegistry stress test, the serving-layer test, the
+#           shared-scan executor test and the on-demand engine oracle (its
+#           per-chunk row walks are worker-private state) also run
+#           standalone so a racy counter, serving race, scan-sharing race
+#           or shared walk fails loudly by name.
 #   crash   Crash-consistency suite: the durability tests (corruption
 #           matrix, kill-at-every-fault-point midnight sweep) re-run
 #           standalone under Release and ASan, plus one run with the
@@ -141,6 +144,9 @@ if [[ "$run_tsan" == 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/serve_test
   echo "=== Shared-scan executor under TSan ==="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shared_scan_test
+  echo "=== On-demand engine oracle under TSan ==="
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/ondemand_parser_test \
+    --gtest_filter='OndemandEngineDifferentialTest.*'
 fi
 
 echo "=== Crash-consistency suite (durability tests) ==="
@@ -158,9 +164,10 @@ if [[ "$run_asan" == 1 ]]; then
   # once more forced to the scalar kernels, proving the tape is
   # byte-identical no matter which ClassifyJsonFull variant built it. The
   # same binary carries the validator fuzz differential (ValidateJson
-  # accepts iff ParseJson does), the one-record memo tests, and the
-  # engine-level differential that runs the Table II queries and a table
-  # of malformed rows with the tier on and off.
+  # accepts iff ParseJson does), the walk-vs-DOM suite (k paths from one
+  # walk against k GetJsonObject calls), and the engine oracle that runs
+  # the Table II queries, one query per operator scope and a table of
+  # malformed rows under every backend, tier, thread count and ISA.
   echo "=== On-demand parser differential suite under ASan ==="
   ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
