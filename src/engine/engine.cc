@@ -845,8 +845,14 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     // nodes replaced by their finished values.
     ScopePaths finalize_paths = scope_paths(PathScope::kFinalize);
     ctx.paths = finalize_paths.empty() ? nullptr : &finalize_paths;
+    // The synthetic empty-input group has no exemplar row: the columns its
+    // aggregate projections reference read one all-NULL row instead.
+    RecordBatch null_row(filtered.schema());
+    if (filtered.num_rows() == 0) {
+      null_row.AppendRow(std::vector<Value>(filtered.schema().num_fields()));
+    }
     for (auto& [key, group] : groups) {
-      ctx.batch = &filtered;
+      ctx.batch = filtered.num_rows() == 0 ? &null_row : &filtered;
       ctx.row = group.first_row;
       // Evaluates `source` (the p-th pseudo-projection) for this group.
       auto evaluate_for_group = [&](const Expr& source,
