@@ -78,9 +78,12 @@ ScopePaths::ScopePaths(const std::vector<PathSlot>& slots) {
 storage::Value ScopePaths::Get(size_t slot, const storage::RecordBatch& batch,
                                size_t row, QueryMetrics* metrics) {
   Source& source = sources_[slots_[slot].first];
+  const size_t path = slots_[slot].second;
   const storage::ColumnVector& column =
       batch.column(static_cast<size_t>(source.column));
-  if (column.IsNull(row)) return storage::Value::Null();
+  if (column.IsNull(row) || !source.extractor.status(path).ok()) {
+    return storage::Value::Null();
+  }
   const std::string& record = column.GetString(row);
   Stopwatch timer;
   const bool first = source.batch != &batch || source.row != row;
@@ -89,7 +92,7 @@ storage::Value ScopePaths::Get(size_t slot, const storage::RecordBatch& batch,
     source.batch = &batch;
     source.row = row;
   }
-  Result<std::string> value = source.extractor.Extract(slots_[slot].second);
+  Result<std::string> value = source.extractor.Extract(path);
   if (metrics != nullptr) {
     metrics->parse_seconds += timer.ElapsedSeconds();
     ++metrics->parse.records_parsed;

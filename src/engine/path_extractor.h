@@ -99,9 +99,10 @@ class ScopePaths {
   bool empty() const { return slots_.empty(); }
 
   /// Site `slot`'s value in `row` of `batch`, as get_json_object (or
-  /// get_xml_object) returns it: NULL for a NULL record or any error. Each
-  /// call counts one record parsed into `metrics` (may be null), and each
-  /// row walked one ondemand_records.
+  /// get_xml_object) returns it: NULL for a NULL record, a path text that
+  /// does not parse, or any error. Each call past those first two counts
+  /// one record parsed into `metrics` (may be null), as the builtin does,
+  /// and each row walked one ondemand_records.
   storage::Value Get(size_t slot, const storage::RecordBatch& batch,
                      size_t row, QueryMetrics* metrics);
 

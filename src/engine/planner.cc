@@ -5,7 +5,6 @@
 #include <set>
 
 #include "common/string_util.h"
-#include "json/json_path.h"
 #include "xml/xml_path.h"
 
 namespace maxson::engine {
@@ -149,11 +148,7 @@ std::optional<PathSlot> PathSiteOf(const Expr& node,
     return std::nullopt;
   }
   const std::string& text = path.literal.string_value();
-  if (xml::IsXmlPathText(text) != xml ||
-      !(xml ? xml::XmlPath::Parse(text).ok()
-            : json::JsonPath::Parse(text).ok())) {
-    return std::nullopt;
-  }
+  if (xml::IsXmlPathText(text) != xml) return std::nullopt;
   return PathSlot{column.column_index, text};
 }
 

@@ -47,10 +47,11 @@ int ResolveColumn(const storage::Schema& schema, const std::string& name);
 /// ambiguous names.
 Status BindExpr(Expr* expr, const storage::Schema& schema);
 
-/// The path reference `node` binds to: get_json_object over a JSONPath
-/// text or get_xml_object over an XPath text, reading a string column of
-/// `schema` with a literal path that parses. nullopt for any other site,
-/// which stays on its builtin.
+/// The path reference `node` binds to: get_json_object over a literal
+/// JSONPath text or get_xml_object over a literal XPath text, reading a
+/// string column of `schema`. nullopt for any other site, which stays on
+/// its builtin. A text that does not parse still binds; like the builtin,
+/// its reference reads NULL without parsing the record.
 std::optional<PathSlot> PathSiteOf(const Expr& node,
                                    const storage::Schema& schema);
 

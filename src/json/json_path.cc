@@ -1,6 +1,7 @@
 #include "json/json_path.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "json/dom_parser.h"
 #include "json/json_writer.h"
@@ -59,13 +60,15 @@ Result<JsonPath> JsonPath::Parse(std::string_view text) {
         while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) {
           ++pos;
         }
-        if (pos == start || pos >= text.size() || text[pos] != ']') {
+        JsonPathStep step;
+        step.kind = JsonPathStep::Kind::kIndex;
+        if (pos == start || pos >= text.size() || text[pos] != ']' ||
+            std::from_chars(text.data() + start, text.data() + pos,
+                            step.index)
+                    .ec != std::errc()) {
           return Status::ParseError("invalid array subscript in JSONPath: " +
                                     std::string(text));
         }
-        JsonPathStep step;
-        step.kind = JsonPathStep::Kind::kIndex;
-        step.index = std::stoll(std::string(text.substr(start, pos - start)));
         ++pos;
         steps.push_back(std::move(step));
       }

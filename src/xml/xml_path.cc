@@ -1,6 +1,7 @@
 #include "xml/xml_path.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "xml/xml_parser.h"
 
@@ -56,11 +57,12 @@ Result<XmlPath> XmlPath::Parse(std::string_view text) {
              std::isdigit(static_cast<unsigned char>(text[pos]))) {
         ++pos;
       }
-      if (pos == digits || pos >= text.size() || text[pos] != ']') {
+      int64_t one_based = 0;
+      if (pos == digits || pos >= text.size() || text[pos] != ']' ||
+          std::from_chars(text.data() + digits, text.data() + pos, one_based)
+                  .ec != std::errc()) {
         return Status::ParseError("bad positional predicate in XPath");
       }
-      const int64_t one_based =
-          std::stoll(std::string(text.substr(digits, pos - digits)));
       if (one_based < 1) {
         return Status::ParseError("XPath positions are 1-based");
       }

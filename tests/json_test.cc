@@ -195,6 +195,9 @@ TEST(JsonPathTest, RejectsMalformedPaths) {
   EXPECT_FALSE(JsonPath::Parse("$[x]").ok());
   EXPECT_FALSE(JsonPath::Parse("$['unterminated").ok());
   EXPECT_FALSE(JsonPath::Parse("$.a..b").ok());
+  // A subscript past int64 is an error, not an exception.
+  EXPECT_FALSE(JsonPath::Parse("$[99999999999999999999]").ok());
+  EXPECT_TRUE(JsonPath::Parse("$[9223372036854775807]").ok());
 }
 
 TEST(JsonPathTest, EvaluatesAgainstDom) {

@@ -656,6 +656,11 @@ TEST_F(OndemandEngineDifferentialTest, SameAnswersUnderEveryConfiguration) {
       "SELECT id, get_json_object(get_json_object(payload, '$.b'), '$.c') "
       "AS c FROM bad.rows");
   sqls.push_back("SELECT id, get_json_object(id, '$') AS j FROM bad.rows");
+  // A literal path that does not parse binds but reads NULL uncounted.
+  sqls.push_back(
+      "SELECT id, get_json_object(payload, '$..a') AS n, "
+      "get_json_object(payload, '$[99999999999999999999]') AS big, "
+      "get_json_object(payload, '$.a') AS a FROM bad.rows");
   // A global aggregate over no rows has no exemplar row for the path its
   // projection mixes with an aggregate: it reads NULL.
   sqls.push_back(

@@ -84,6 +84,7 @@ TEST(XmlPathTest, RejectsBadPaths) {
   EXPECT_FALSE(XmlPath::Parse("/order/@attr/more").ok());
   EXPECT_FALSE(XmlPath::Parse("/order/item[0]").ok());  // 1-based
   EXPECT_FALSE(XmlPath::Parse("/order/item[x]").ok());
+  EXPECT_FALSE(XmlPath::Parse("/order/item[99999999999999999999]").ok());
 }
 
 TEST(XmlPathTest, EvaluatesTextAndAttributes) {
