@@ -96,56 +96,46 @@ const xml::XmlPath* QueryEngine::CachedXmlPath(const std::string& text) {
 }
 
 void QueryEngine::RegisterBuiltinFunctions() {
-  // get_json_object(json_string, json_path): the workhorse of the paper's
-  // workload, one full parse per call — the Spark+Jackson (or Spark+Mison)
-  // baseline; sites the planner bound to path references read their
-  // scope's row walk instead (ScopePaths). Its wall time is attributed to
-  // the Parse phase, into the calling worker's metrics accumulator.
-  functions_["get_json_object"] = [this](const std::vector<Value>& args,
-                                         const EvalContext& ctx) -> Value {
-    if (args.size() != 2 || args[0].is_null() || args[1].is_null()) {
-      return Value::Null();
-    }
-    const std::string& text = args[0].is_string() ? args[0].string_value()
-                                                  : args[0].ToString();
-    const json::JsonPath* path = CachedJsonPath(args[1].string_value());
-    if (path == nullptr) return Value::Null();
-
-    Stopwatch timer;
-    Result<std::string> extracted =
-        config_.json_backend == JsonBackend::kMison
-            ? ctx.mison->Extract(text, *path)
-            : json::GetJsonObject(text, *path);
-    if (ctx.metrics != nullptr) {
-      ctx.metrics->parse_seconds += timer.ElapsedSeconds();
-      ++ctx.metrics->parse.records_parsed;
-      ctx.metrics->parse.bytes_parsed += text.size();
-    }
-    if (!extracted.ok()) return Value::Null();
-    return Value::String(std::move(*extracted));
+  // get_json_object(json_string, json_path), the workhorse of the paper's
+  // workload, and get_xml_object(xml_string, xpath), the XML counterpart
+  // the paper names as future work: one full parse per call, NULL on a
+  // missing path or a bad record — the Spark+Jackson (or Spark+Mison)
+  // baseline. Sites the planner bound to path references read their
+  // scope's row walk instead (ScopePaths). A call's wall time is
+  // attributed to the Parse phase, into the calling worker's metrics
+  // accumulator; path texts parse once per engine, outside that time.
+  const auto path_function = [](auto cached_path, auto extract) {
+    return [=](const std::vector<Value>& args, const EvalContext& ctx) {
+      if (args.size() != 2 || args[0].is_null() || args[1].is_null()) {
+        return Value::Null();
+      }
+      const std::string& text = args[0].is_string() ? args[0].string_value()
+                                                    : args[0].ToString();
+      const auto* path = cached_path(args[1].string_value());
+      if (path == nullptr) return Value::Null();
+      Stopwatch timer;
+      Result<std::string> extracted = extract(text, *path, ctx);
+      if (ctx.metrics != nullptr) {
+        ctx.metrics->parse_seconds += timer.ElapsedSeconds();
+        ++ctx.metrics->parse.records_parsed;
+        ctx.metrics->parse.bytes_parsed += text.size();
+      }
+      if (!extracted.ok()) return Value::Null();
+      return Value::String(std::move(*extracted));
+    };
   };
-
-  // get_xml_object(xml_string, xpath): the XML counterpart the paper names
-  // as future work; same contract as get_json_object (NULL on missing).
-  functions_["get_xml_object"] = [this](const std::vector<Value>& args,
-                                        const EvalContext& ctx) -> Value {
-    if (args.size() != 2 || args[0].is_null() || args[1].is_null()) {
-      return Value::Null();
-    }
-    const std::string& text = args[0].is_string() ? args[0].string_value()
-                                                  : args[0].ToString();
-    const xml::XmlPath* xpath = CachedXmlPath(args[1].string_value());
-    if (xpath == nullptr) return Value::Null();
-    Stopwatch timer;
-    Result<std::string> extracted = xml::GetXmlObject(text, *xpath);
-    if (ctx.metrics != nullptr) {
-      ctx.metrics->parse_seconds += timer.ElapsedSeconds();
-      ++ctx.metrics->parse.records_parsed;
-      ctx.metrics->parse.bytes_parsed += text.size();
-    }
-    if (!extracted.ok()) return Value::Null();
-    return Value::String(std::move(*extracted));
-  };
+  functions_["get_json_object"] = path_function(
+      [this](const std::string& text) { return CachedJsonPath(text); },
+      [this](const std::string& text, const json::JsonPath& path,
+             const EvalContext& ctx) {
+        return config_.json_backend == JsonBackend::kMison
+                   ? ctx.mison->Extract(text, path)
+                   : json::GetJsonObject(text, path);
+      });
+  functions_["get_xml_object"] = path_function(
+      [this](const std::string& text) { return CachedXmlPath(text); },
+      [](const std::string& text, const xml::XmlPath& path,
+         const EvalContext&) { return xml::GetXmlObject(text, path); });
 
   functions_["length"] = [](const std::vector<Value>& args,
                             const EvalContext&) -> Value {
@@ -386,45 +376,6 @@ namespace {
 /// sums of aggregates), is byte-identical at every parallelism degree.
 constexpr size_t kRowsPerChunk = 1024;
 
-/// Worker-private execution state of one row chunk: a metrics accumulator
-/// (replacing the engine-global sink of the single-threaded engine), a
-/// speculative parser whose memoization the chunk mutates freely, and the
-/// operator scope's row walk. Counters are folded back in chunk order
-/// after the barrier.
-struct ChunkState {
-  QueryMetrics metrics;
-  json::MisonParser mison;
-  ScopePaths paths;
-  /// Wall time of this chunk's task on its worker; chunk times sum (in
-  /// chunk order) into the owning operator's cpu_seconds.
-  double seconds = 0;
-
-  /// `base` aimed at `batch`, at this chunk's private accumulators, and at
-  /// a private copy of the scope's row walk `scope`.
-  EvalContext Context(const EvalContext& base, const RecordBatch* batch,
-                      const ScopePaths& scope) {
-    EvalContext wctx = base;
-    wctx.batch = batch;
-    wctx.metrics = &metrics;
-    wctx.mison = &mison;
-    paths = scope;
-    wctx.paths = paths.empty() ? nullptr : &paths;
-    return wctx;
-  }
-};
-
-/// Folds every chunk's counters back in chunk order; returns the chunks'
-/// summed task times (the operator's cpu_seconds).
-double FoldChunks(const std::vector<ChunkState>& states,
-                  QueryMetrics* metrics) {
-  double seconds = 0;
-  for (const ChunkState& s : states) {
-    metrics->Accumulate(s.metrics);
-    seconds += s.seconds;
-  }
-  return seconds;
-}
-
 /// Serialized grouping key: values rendered with a type tag and separator so
 /// distinct tuples never collide.
 std::string GroupKey(const std::vector<Value>& values) {
@@ -527,24 +478,54 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   ctx.lookup_hook = this;
   ctx.metrics = &metrics;
   ctx.mison = &query_mison;
-  // Each operator scope's bound sites, walked one row at a time under the
-  // on-demand tier (one copy per chunk or sequential section); empty
-  // otherwise, which leaves every site on its builtin.
+  // `scope`'s bound sites, counted into `op` ("where parsing happened"),
+  // as a row walk under the on-demand tier; empty otherwise, which leaves
+  // every site on its builtin.
   const bool walk =
       config_.enable_ondemand && config_.json_backend == JsonBackend::kDom;
-  auto scope_paths = [&](PathScope scope) {
+  auto scope_paths = [&](PathScope scope, OperatorStats* op) {
     const std::vector<PathSlot>& slots =
         plan.paths[static_cast<size_t>(scope)];
+    op->paths += slots.size();
     return walk ? ScopePaths(slots) : ScopePaths();
   };
-  // Fills an operator's "where parsing happened" counts: the paths its
-  // scopes bind and the rows walked since `walked_before`.
-  auto note_paths = [&](OperatorStats* op, uint64_t walked_before,
-                        std::initializer_list<PathScope> scopes) {
-    for (PathScope scope : scopes) {
-      op->paths += plan.paths[static_cast<size_t>(scope)].size();
+  // Runs body(wctx, c) for every row chunk c of `chunks` on the pool. Each
+  // chunk evaluates `batch` with a private metrics accumulator, Mison
+  // parser and copy of `scope`'s row walk; the accumulators fold back in
+  // chunk order. Adds the chunks, their summed task time (cpu_seconds) and
+  // the rows walked to `op`.
+  auto for_chunks = [&](const std::vector<exec::ChunkRange>& chunks,
+                        const RecordBatch& batch, PathScope scope,
+                        OperatorStats* op, const auto& body) -> Status {
+    struct ChunkState {
+      QueryMetrics metrics;
+      json::MisonParser mison;
+      ScopePaths paths;
+      double seconds = 0;
+    };
+    std::vector<ChunkState> states(chunks.size());
+    const ScopePaths paths = scope_paths(scope, op);
+    MAXSON_RETURN_NOT_OK(exec::ParallelFor(
+        pool, chunks.size(), [&](size_t c) -> Status {
+          Stopwatch timer;
+          ChunkState& state = states[c];
+          state.paths = paths;
+          EvalContext wctx = ctx;
+          wctx.batch = &batch;
+          wctx.metrics = &state.metrics;
+          wctx.mison = &state.mison;
+          wctx.paths = &state.paths;
+          MAXSON_RETURN_NOT_OK(body(wctx, c));
+          state.seconds = timer.ElapsedSeconds();
+          return Status::Ok();
+        }));
+    for (const ChunkState& state : states) {
+      metrics.Accumulate(state.metrics);
+      op->rows_walked += state.metrics.ondemand_records;
+      op->cpu_seconds += state.seconds;
     }
-    op->rows_walked = metrics.ondemand_records - walked_before;
+    op->units = chunks.size();
+    return Status::Ok();
   };
 
   // ---- Scan (and join) ----
@@ -565,11 +546,13 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     obs::TraceSpan join_span(tracer_, "join", "query");
     Stopwatch join_timer;
     Stopwatch compute_timer;
-    const uint64_t join_walked = metrics.ondemand_records;
+    OperatorStats join_op;
+    join_op.name = "HashJoin";
+    const uint64_t walked_before = metrics.ondemand_records;
     // Hash join: build on the right side.
     std::multimap<std::string, size_t> build;
-    ScopePaths join_paths = scope_paths(PathScope::kJoinRight);
-    ctx.paths = join_paths.empty() ? nullptr : &join_paths;
+    ScopePaths join_paths = scope_paths(PathScope::kJoinRight, &join_op);
+    ctx.paths = &join_paths;
     for (size_t r = 0; r < right.num_rows(); ++r) {
       ctx.batch = &right;
       ctx.row = r;
@@ -591,8 +574,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     }
     RecordBatch joined(joined_schema);
     Stopwatch probe_timer;
-    join_paths = scope_paths(PathScope::kJoinLeft);
-    ctx.paths = join_paths.empty() ? nullptr : &join_paths;
+    join_paths = scope_paths(PathScope::kJoinLeft, &join_op);
     for (size_t l = 0; l < left.num_rows(); ++l) {
       ctx.batch = &left;
       ctx.row = l;
@@ -614,10 +596,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     }
     metrics.compute_seconds += probe_timer.ElapsedSeconds();
     ctx.paths = nullptr;
-    OperatorStats join_op;
-    join_op.name = "HashJoin";
-    note_paths(&join_op, join_walked,
-               {PathScope::kJoinLeft, PathScope::kJoinRight});
+    join_op.rows_walked = metrics.ondemand_records - walked_before;
     join_op.rows_in = left.num_rows() + right.num_rows();
     join_op.rows_out = joined.num_rows();
     join_op.wall_seconds = join_timer.ElapsedSeconds();
@@ -655,11 +634,9 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       const Expr* call = e->children[0].get();
       const Expr* literal = e->children[1].get();
       if (call->kind == ExprKind::kLiteral) std::swap(call, literal);
-      if (call->kind != ExprKind::kFunction ||
+      // A bound site (Expr::path_slot) reads a string column.
+      if (call->kind != ExprKind::kFunction || call->path_slot < 0 ||
           call->func_name != "get_json_object" ||
-          call->children.size() != 2 ||
-          call->children[0]->kind != ExprKind::kColumnRef ||
-          call->children[0]->column_index < 0 ||
           literal->kind != ExprKind::kLiteral ||
           !literal->literal.is_string() ||
           !json::IsRawFilterableLiteral(literal->literal.string_value())) {
@@ -676,20 +653,18 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   if (plan.where != nullptr) {
     obs::TraceSpan filter_span(tracer_, "filter", "query");
     Stopwatch filter_timer;
-    const uint64_t filter_rows_in = input.num_rows();
-    const uint64_t filter_walked = metrics.ondemand_records;
-    const ScopePaths filter_paths = scope_paths(PathScope::kFilter);
+    OperatorStats filter_op;
+    filter_op.name = "Filter";
+    filter_op.rows_in = input.num_rows();
     // Row chunks are filtered in parallel, each into a private list of
     // surviving row indexes; lists are concatenated in chunk order, so the
     // surviving-row order matches sequential execution.
     const std::vector<exec::ChunkRange> chunks =
         exec::MakeChunks(input.num_rows(), kRowsPerChunk);
-    std::vector<ChunkState> states(chunks.size());
     std::vector<std::vector<size_t>> kept(chunks.size());
-    MAXSON_RETURN_NOT_OK(exec::ParallelFor(
-        pool, chunks.size(), [&](size_t c) -> Status {
-          Stopwatch chunk_timer;
-          EvalContext wctx = states[c].Context(ctx, &input, filter_paths);
+    MAXSON_RETURN_NOT_OK(for_chunks(
+        chunks, input, PathScope::kFilter, &filter_op,
+        [&](EvalContext& wctx, size_t c) -> Status {
           for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
             bool rejected = false;
             for (const RowPrefilter& pf : prefilters) {
@@ -701,7 +676,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
               }
             }
             if (rejected) {
-              ++states[c].metrics.raw_filtered_rows;
+              ++wctx.metrics->raw_filtered_rows;
               continue;
             }
             wctx.row = r;
@@ -709,21 +684,13 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
                                     EvaluateExpr(*plan.where, wctx));
             if (IsTruthy(keep)) kept[c].push_back(r);
           }
-          states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
-    const double chunk_seconds = FoldChunks(states, &metrics);
     for (const std::vector<size_t>& rows : kept) {
       for (size_t r : rows) filtered.AppendRow(input.GetRow(r));
     }
-    OperatorStats filter_op;
-    filter_op.name = "Filter";
-    note_paths(&filter_op, filter_walked, {PathScope::kFilter});
-    filter_op.rows_in = filter_rows_in;
     filter_op.rows_out = filtered.num_rows();
-    filter_op.units = chunks.size();
     filter_op.wall_seconds = filter_timer.ElapsedSeconds();
-    filter_op.cpu_seconds = chunk_seconds;
     metrics.operators.push_back(std::move(filter_op));
   } else {
     filtered = std::move(input);
@@ -731,49 +698,38 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   if (exec_ctx.cancelled()) return Status::Cancelled("query cancelled");
 
   // ---- Project / Aggregate ----
-  Schema out_schema;
-  for (size_t i = 0; i < plan.projections.size(); ++i) {
-    out_schema.AddField(plan.projection_names[i], TypeKind::kString);
-  }
-  // Output columns are dynamically typed; using kString schema would coerce,
-  // so instead build per-row Values and type columns as strings only at the
-  // very end. To preserve types, re-derive the schema from the first row:
-  // simpler: store all projections as their natural Value in a row list.
+  // Output columns are dynamically typed: rows keep their natural Values,
+  // and the output schema is derived from them at the end.
   std::vector<std::vector<Value>> out_rows;
 
   if (plan.has_aggregates || !plan.group_by.empty()) {
     obs::TraceSpan agg_span(tracer_, "aggregate", "query");
     Stopwatch agg_timer;
-    const uint64_t agg_rows_in = filtered.num_rows();
-    const uint64_t agg_walked = metrics.ondemand_records;
-    const ScopePaths agg_paths = scope_paths(PathScope::kAggregate);
+    OperatorStats agg_op;
+    agg_op.name = "Aggregate";
+    agg_op.rows_in = filtered.num_rows();
     // Group rows.
     struct Group {
       std::vector<Value> key_values;
       std::vector<AggState> states;
       size_t first_row;
     };
-    // Collect aggregate nodes per projection (top-level or nested); the
-    // HAVING clause rides along as a pseudo-projection at the end.
+    // Collect aggregate nodes (top-level or nested) in visit order, the
+    // HAVING clause riding along as a pseudo-projection at the end:
+    // pseudo-projection p owns all_aggs[agg_begin[p], agg_begin[p + 1]).
     const size_t having_slot = plan.projections.size();
-    std::vector<std::vector<const Expr*>> agg_nodes(having_slot + 1);
     std::vector<const Expr*> all_aggs;
-    for (size_t p = 0; p < plan.projections.size(); ++p) {
-      plan.projections[p]->Visit([&](const Expr* node) {
-        if (node->kind == ExprKind::kAggregate) {
-          agg_nodes[p].push_back(node);
-          all_aggs.push_back(node);
-        }
+    std::vector<size_t> agg_begin;
+    auto collect_aggs = [&](const ExprPtr& e) {
+      agg_begin.push_back(all_aggs.size());
+      if (e == nullptr) return;
+      e->Visit([&](const Expr* node) {
+        if (node->kind == ExprKind::kAggregate) all_aggs.push_back(node);
       });
-    }
-    if (plan.having != nullptr) {
-      plan.having->Visit([&](const Expr* node) {
-        if (node->kind == ExprKind::kAggregate) {
-          agg_nodes[having_slot].push_back(node);
-          all_aggs.push_back(node);
-        }
-      });
-    }
+    };
+    for (const ExprPtr& e : plan.projections) collect_aggs(e);
+    collect_aggs(plan.having);
+    agg_begin.push_back(all_aggs.size());
 
     // Chunk-parallel partial aggregation: each chunk groups its rows into a
     // private ordered map; partials merge below in chunk order, so the
@@ -781,12 +737,10 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     // accumulation order are the same at every thread count.
     const std::vector<exec::ChunkRange> chunks =
         exec::MakeChunks(filtered.num_rows(), kRowsPerChunk);
-    std::vector<ChunkState> states(chunks.size());
     std::vector<std::map<std::string, Group>> partials(chunks.size());
-    MAXSON_RETURN_NOT_OK(exec::ParallelFor(
-        pool, chunks.size(), [&](size_t c) -> Status {
-          EvalContext wctx = states[c].Context(ctx, &filtered, agg_paths);
-          Stopwatch chunk_timer;
+    MAXSON_RETURN_NOT_OK(for_chunks(
+        chunks, filtered, PathScope::kAggregate, &agg_op,
+        [&](EvalContext& wctx, size_t c) -> Status {
           std::map<std::string, Group>& local = partials[c];
           for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
             wctx.row = r;
@@ -816,10 +770,8 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
               }
             }
           }
-          states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
-    const double chunk_seconds = FoldChunks(states, &metrics);
     std::map<std::string, Group> groups;
     for (std::map<std::string, Group>& partial : partials) {
       for (auto& [key, group] : partial) {
@@ -843,8 +795,9 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
 
     // Finalize each group: evaluate projections (and HAVING) with aggregate
     // nodes replaced by their finished values.
-    ScopePaths finalize_paths = scope_paths(PathScope::kFinalize);
-    ctx.paths = finalize_paths.empty() ? nullptr : &finalize_paths;
+    ScopePaths finalize_paths = scope_paths(PathScope::kFinalize, &agg_op);
+    ctx.paths = &finalize_paths;
+    const uint64_t walked_before = metrics.ondemand_records;
     // The synthetic empty-input group has no exemplar row: the columns its
     // aggregate projections reference read one all-NULL row instead.
     RecordBatch null_row(filtered.schema());
@@ -857,7 +810,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       // Evaluates `source` (the p-th pseudo-projection) for this group.
       auto evaluate_for_group = [&](const Expr& source,
                                     size_t p) -> Result<Value> {
-        if (agg_nodes[p].empty()) {
+        if (agg_begin[p] == agg_begin[p + 1]) {
           // Pure grouping expression: evaluate on the group's exemplar row.
           // The synthetic empty-input group has no exemplar; non-aggregate
           // projections over zero rows are NULL.
@@ -865,24 +818,14 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
           return EvaluateExpr(source, ctx);
         }
         // Substitute aggregate results into a clone, then evaluate. The
-        // clone's aggregate nodes appear in the same visit order as
-        // agg_nodes[p]; map each to its global state slot in all_aggs.
+        // clone's aggregate nodes appear in the same visit order as p's
+        // slice of all_aggs, so they take its states in turn.
         ExprPtr clone = source.Clone();
-        size_t next = 0;
-        std::vector<size_t> indices;
-        for (const Expr* node : agg_nodes[p]) {
-          for (size_t a = 0; a < all_aggs.size(); ++a) {
-            if (node == all_aggs[a]) {
-              indices.push_back(a);
-              break;
-            }
-          }
-        }
+        size_t next = agg_begin[p];
         clone->Visit([&](Expr* node) {
           if (node->kind != ExprKind::kAggregate) return;
-          const size_t state_index = indices[next++];
           node->kind = ExprKind::kLiteral;
-          node->literal = group.states[state_index].Finish(node->agg);
+          node->literal = group.states[next++].Finish(node->agg);
           node->children.clear();
         });
         return EvaluateExpr(*clone, ctx);
@@ -902,15 +845,9 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       out_rows.push_back(std::move(row));
     }
     ctx.paths = nullptr;
-    OperatorStats agg_op;
-    agg_op.name = "Aggregate";
-    note_paths(&agg_op, agg_walked,
-               {PathScope::kAggregate, PathScope::kFinalize});
-    agg_op.rows_in = agg_rows_in;
+    agg_op.rows_walked += metrics.ondemand_records - walked_before;
     agg_op.rows_out = out_rows.size();
-    agg_op.units = chunks.size();
     agg_op.wall_seconds = agg_timer.ElapsedSeconds();
-    agg_op.cpu_seconds = chunk_seconds;
     metrics.operators.push_back(std::move(agg_op));
     // ORDER BY over aggregated output operates on projection aliases.
     // (Sorting below handles the non-aggregate path; for aggregates we sort
@@ -978,15 +915,13 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       // `sort_keys`, and the stable sort below sees the same key array
       // regardless of which worker filled which slot.
       std::vector<std::vector<Value>> sort_keys(filtered.num_rows());
-      const uint64_t sort_walked = metrics.ondemand_records;
-      const ScopePaths sort_paths = scope_paths(PathScope::kSort);
+      OperatorStats sort_op;
+      sort_op.name = "Sort";
       const std::vector<exec::ChunkRange> chunks =
           exec::MakeChunks(filtered.num_rows(), kRowsPerChunk);
-      std::vector<ChunkState> states(chunks.size());
-      MAXSON_RETURN_NOT_OK(exec::ParallelFor(
-          pool, chunks.size(), [&](size_t c) -> Status {
-            Stopwatch chunk_timer;
-            EvalContext wctx = states[c].Context(ctx, &filtered, sort_paths);
+      MAXSON_RETURN_NOT_OK(for_chunks(
+          chunks, filtered, PathScope::kSort, &sort_op,
+          [&](EvalContext& wctx, size_t c) -> Status {
             for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
               wctx.row = r;
               for (const auto& [expr, desc] : plan.order_by) {
@@ -994,10 +929,8 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
                 sort_keys[r].push_back(std::move(v));
               }
             }
-            states[c].seconds = chunk_timer.ElapsedSeconds();
             return Status::Ok();
           }));
-      const double chunk_seconds = FoldChunks(states, &metrics);
       std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
         for (size_t k = 0; k < plan.order_by.size(); ++k) {
           const int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
@@ -1005,14 +938,9 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
         }
         return false;
       });
-      OperatorStats sort_op;
-      sort_op.name = "Sort";
-      note_paths(&sort_op, sort_walked, {PathScope::kSort});
       sort_op.rows_in = filtered.num_rows();
       sort_op.rows_out = filtered.num_rows();
-      sort_op.units = chunks.size();
       sort_op.wall_seconds = sort_timer.ElapsedSeconds();
-      sort_op.cpu_seconds = chunk_seconds;
       metrics.operators.push_back(std::move(sort_op));
     }
     // DISTINCT must see every row before the limit truncates.
@@ -1024,16 +952,13 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     obs::TraceSpan project_span(tracer_, "project", "query");
     Stopwatch project_timer;
     out_rows.resize(take);
-    const uint64_t project_walked = metrics.ondemand_records;
-    const ScopePaths project_paths = scope_paths(PathScope::kProject);
+    OperatorStats project_op;
+    project_op.name = "Project";
     const std::vector<exec::ChunkRange> chunks =
         exec::MakeChunks(take, kRowsPerChunk);
-    std::vector<ChunkState> states(chunks.size());
-    MAXSON_RETURN_NOT_OK(exec::ParallelFor(
-        pool, chunks.size(), [&](size_t c) -> Status {
-          Stopwatch chunk_timer;
-          EvalContext wctx =
-              states[c].Context(ctx, &filtered, project_paths);
+    MAXSON_RETURN_NOT_OK(for_chunks(
+        chunks, filtered, PathScope::kProject, &project_op,
+        [&](EvalContext& wctx, size_t c) -> Status {
           for (size_t i = chunks[c].begin; i < chunks[c].end; ++i) {
             wctx.row = order[i];
             std::vector<Value> row;
@@ -1044,18 +969,11 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
             }
             out_rows[i] = std::move(row);
           }
-          states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
-    const double chunk_seconds = FoldChunks(states, &metrics);
-    OperatorStats project_op;
-    project_op.name = "Project";
-    note_paths(&project_op, project_walked, {PathScope::kProject});
     project_op.rows_in = filtered.num_rows();
     project_op.rows_out = take;
-    project_op.units = chunks.size();
     project_op.wall_seconds = project_timer.ElapsedSeconds();
-    project_op.cpu_seconds = chunk_seconds;
     metrics.operators.push_back(std::move(project_op));
   }
 

@@ -38,14 +38,11 @@ struct EngineConfig {
   /// opt-in because exotic escape-encoded data could defeat the needle.
   bool enable_raw_filter = false;
   /// On-demand parsing tier (json/ondemand_parser.h): under the kDom
-  /// backend, uncached get_json_object calls resolve paths by cursoring a
-  /// SIMD structural tape instead of materializing the whole DOM. The tape of a row's record is
-  /// built once and shared by the row's get_json_object calls. Every tape
-  /// build validates the record with the DOM parser's own grammar, so
-  /// results are byte-identical to DOM on every input; a record it rejects
-  /// falls back to the DOM parser. Off (`set ondemand off`) is the
-  /// Spark+Jackson reference path: one full DOM parse per call. See
-  /// DESIGN.md, "On-demand parsing tier".
+  /// backend, each operator walks a row's record once over a validated
+  /// SIMD structural tape and resolves all of its bound get_json_object
+  /// sites in that walk, byte-identical to the DOM on every input. Off
+  /// (`set ondemand off`) is the Spark+Jackson baseline: one full DOM
+  /// parse per call. See DESIGN.md, "On-demand parsing tier".
   bool enable_ondemand = true;
   /// Parallelism degree of query execution (the paper's splits-across-
   /// executors model, in process): splits are scanned and row chunks are

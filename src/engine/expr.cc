@@ -310,7 +310,7 @@ Result<Value> EvaluateExpr(const Expr& expr, const EvalContext& ctx) {
       return Status::Internal("unhandled unary operator");
     }
     case ExprKind::kFunction: {
-      if (expr.path_slot >= 0 && ctx.paths != nullptr) {
+      if (expr.path_slot >= 0 && ctx.paths != nullptr && !ctx.paths->empty()) {
         return ctx.paths->Get(static_cast<size_t>(expr.path_slot), *ctx.batch,
                               ctx.row, ctx.metrics);
       }

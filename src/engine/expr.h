@@ -150,9 +150,8 @@ struct EvalContext {
   /// gives every context one.
   json::MisonParser* mison = nullptr;
   /// Per-worker row walk of the current operator scope, which resolves
-  /// the scope's bound path references. Non-null only when the engine's
-  /// enable_ondemand knob is on under the kDom backend; null evaluates
-  /// every site through its builtin.
+  /// the scope's bound path references. Null or empty (the on-demand tier
+  /// off, or the kMison backend) evaluates every site through its builtin.
   ScopePaths* paths = nullptr;
 };
 

@@ -119,32 +119,6 @@ struct PhysicalPlan {
   std::array<std::vector<PathSlot>, kNumPathScopes> paths;
 };
 
-/// Calls fn(node, scope) for every node of every expression `plan`
-/// evaluates row by row, naming the scope that evaluates it: the one walk
-/// both the planner's binder and the PlanValidator follow. ORDER BY keys
-/// of aggregate plans only name projections and are never evaluated.
-template <typename Plan, typename Fn>
-void VisitPathScopes(Plan& plan, Fn&& fn) {
-  auto walk = [&fn](auto& self, auto& e, PathScope scope) -> void {
-    if (e.kind == ExprKind::kAggregate) scope = PathScope::kAggregate;
-    fn(e, scope);
-    for (auto& child : e.children) self(self, *child, scope);
-  };
-  for (auto& e : plan.join_keys_left) walk(walk, *e, PathScope::kJoinLeft);
-  for (auto& e : plan.join_keys_right) walk(walk, *e, PathScope::kJoinRight);
-  if (plan.where != nullptr) walk(walk, *plan.where, PathScope::kFilter);
-  const bool aggregates = plan.has_aggregates || !plan.group_by.empty();
-  for (auto& e : plan.projections) {
-    walk(walk, *e, aggregates ? PathScope::kFinalize : PathScope::kProject);
-  }
-  if (!aggregates) {
-    for (auto& key : plan.order_by) walk(walk, *key.first, PathScope::kSort);
-    return;
-  }
-  for (auto& e : plan.group_by) walk(walk, *e, PathScope::kAggregate);
-  if (plan.having != nullptr) walk(walk, *plan.having, PathScope::kFinalize);
-}
-
 /// Runtime accounting of one physical operator, in pipeline execution
 /// order (scan(s) first, limit last); EXPLAIN ANALYZE renders these onto
 /// the plan tree. Counts (rows, units) are deterministic at every thread

@@ -340,13 +340,11 @@ Status ValidatePlan(const PhysicalPlan& plan,
   // ---- Expression resolution against the executor's input schema ----
   // Filter, Project, Aggregate and Sort all evaluate against the (joined)
   // scan output; join keys bind against their own side only.
-  const Schema left = ScanOutputSchema(plan.scan);
-  Schema right;
-  Schema input = left;
+  Schema input = ScanOutputSchema(plan.scan);
   if (plan.join_scan.has_value()) {
-    right = ScanOutputSchema(*plan.join_scan);
+    const Schema right = ScanOutputSchema(*plan.join_scan);
     for (size_t k = 0; k < plan.join_keys_left.size(); ++k) {
-      MAXSON_RETURN_NOT_OK(CheckExpr(plan, *plan.join_keys_left[k], left,
+      MAXSON_RETURN_NOT_OK(CheckExpr(plan, *plan.join_keys_left[k], input,
                                      "join key", {}, false));
       MAXSON_RETURN_NOT_OK(CheckExpr(plan, *plan.join_keys_right[k], right,
                                      "join key", {}, false));
@@ -391,15 +389,12 @@ Status ValidatePlan(const PhysicalPlan& plan,
   // scope that evaluates it, so the slot must exist and be the string
   // column and path the call itself names.
   Status binding;
-  VisitPathScopes(plan, [&](const Expr& node, PathScope scope) {
+  VisitPathSites(plan, [&](const Expr& node, PathScope scope,
+                           const std::optional<PathSlot>& site) {
     if (!binding.ok() || node.path_slot < 0) return;
     const std::vector<PathSlot>& slots =
         plan.paths[static_cast<size_t>(scope)];
     const size_t slot = static_cast<size_t>(node.path_slot);
-    const std::optional<PathSlot> site = PathSiteOf(
-        node, scope == PathScope::kJoinLeft    ? left
-              : scope == PathScope::kJoinRight ? right
-                                               : input);
     std::string problem;
     if (slot >= slots.size()) {
       problem = " names slot " + std::to_string(slot) + " of a " +

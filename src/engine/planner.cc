@@ -129,8 +129,7 @@ const Expr* UnwrapNumericCast(const Expr* e) {
   return e;
 }
 
-}  // namespace
-
+/// The path reference `node` binds to against `schema` (VisitPathSites).
 std::optional<PathSlot> PathSiteOf(const Expr& node,
                                    const storage::Schema& schema) {
   if (node.kind != ExprKind::kFunction || node.children.size() != 2) {
@@ -150,6 +149,48 @@ std::optional<PathSlot> PathSiteOf(const Expr& node,
   const std::string& text = path.literal.string_value();
   if (xml::IsXmlPathText(text) != xml) return std::nullopt;
   return PathSlot{column.column_index, text};
+}
+
+}  // namespace
+
+void VisitPathSites(
+    const PhysicalPlan& plan,
+    const std::function<void(Expr&, PathScope, const std::optional<PathSlot>&)>&
+        fn) {
+  const Schema left = ScanOutputSchema(plan.scan);
+  Schema right;
+  Schema input = left;
+  if (plan.join_scan.has_value()) {
+    right = ScanOutputSchema(*plan.join_scan);
+    for (const storage::Field& f : right.fields()) {
+      input.AddField(f.name, f.type);
+    }
+  }
+  auto walk = [&fn](auto& self, const ExprPtr& e, PathScope scope,
+                    const Schema& schema) -> void {
+    if (e == nullptr) return;
+    if (e->kind == ExprKind::kAggregate) scope = PathScope::kAggregate;
+    fn(*e, scope, PathSiteOf(*e, schema));
+    for (const ExprPtr& child : e->children) self(self, child, scope, schema);
+  };
+  auto walk_all = [&](const std::vector<ExprPtr>& exprs, PathScope scope,
+                      const Schema& schema) {
+    for (const ExprPtr& e : exprs) walk(walk, e, scope, schema);
+  };
+  walk_all(plan.join_keys_left, PathScope::kJoinLeft, left);
+  walk_all(plan.join_keys_right, PathScope::kJoinRight, right);
+  walk(walk, plan.where, PathScope::kFilter, input);
+  const bool aggregates = plan.has_aggregates || !plan.group_by.empty();
+  walk_all(plan.projections,
+           aggregates ? PathScope::kFinalize : PathScope::kProject, input);
+  if (aggregates) {
+    walk_all(plan.group_by, PathScope::kAggregate, input);
+    walk(walk, plan.having, PathScope::kFinalize, input);
+  } else {
+    for (const auto& key : plan.order_by) {
+      walk(walk, key.first, PathScope::kSort, input);
+    }
+  }
 }
 
 void ExtractSargs(const Expr* where, ScanNode* scan) {
@@ -332,14 +373,12 @@ Result<PhysicalPlan> Planner::Plan(const SelectStatement& stmt,
   }
 
   // Bind every expression against the executor's input schema.
-  const Schema left = ScanOutputSchema(plan.scan);
-  Schema right;
-  Schema input = left;
+  Schema input = ScanOutputSchema(plan.scan);
   if (plan.join_scan.has_value()) {
-    right = ScanOutputSchema(*plan.join_scan);
+    Schema right = ScanOutputSchema(*plan.join_scan);
     // Join keys bind against their own side.
     for (ExprPtr& e : plan.join_keys_left) {
-      MAXSON_RETURN_NOT_OK(BindExpr(e.get(), left));
+      MAXSON_RETURN_NOT_OK(BindExpr(e.get(), input));
     }
     for (ExprPtr& e : plan.join_keys_right) {
       MAXSON_RETURN_NOT_OK(BindExpr(e.get(), right));
@@ -371,11 +410,8 @@ Result<PhysicalPlan> Planner::Plan(const SelectStatement& stmt,
   // The sites the rewrite left on raw strings become path references, so
   // each operator scope walks a row once per source column; identical
   // sites share a slot.
-  VisitPathScopes(plan, [&](Expr& node, PathScope scope) {
-    const std::optional<PathSlot> site = PathSiteOf(
-        node, scope == PathScope::kJoinLeft    ? left
-              : scope == PathScope::kJoinRight ? right
-                                               : input);
+  VisitPathSites(plan, [&](Expr& node, PathScope scope,
+                           const std::optional<PathSlot>& site) {
     if (!site.has_value()) return;
     std::vector<PathSlot>& slots = plan.paths[static_cast<size_t>(scope)];
     size_t slot = 0;

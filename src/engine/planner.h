@@ -1,6 +1,7 @@
 #ifndef MAXSON_ENGINE_PLANNER_H_
 #define MAXSON_ENGINE_PLANNER_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -47,13 +48,20 @@ int ResolveColumn(const storage::Schema& schema, const std::string& name);
 /// ambiguous names.
 Status BindExpr(Expr* expr, const storage::Schema& schema);
 
-/// The path reference `node` binds to: get_json_object over a literal
-/// JSONPath text or get_xml_object over a literal XPath text, reading a
-/// string column of `schema`. nullopt for any other site, which stays on
-/// its builtin. A text that does not parse still binds; like the builtin,
-/// its reference reads NULL without parsing the record.
-std::optional<PathSlot> PathSiteOf(const Expr& node,
-                                   const storage::Schema& schema);
+/// Calls fn(node, scope, site) for every node of every expression `plan`
+/// evaluates row by row (ORDER BY keys of aggregate plans only name
+/// projections and are never evaluated), with the scope that evaluates it
+/// and the path reference it binds to against that scope's input schema:
+/// get_json_object over a literal JSONPath text or get_xml_object over a
+/// literal XPath text, reading a string column. `site` is nullopt for any
+/// other node, which stays on its builtin; a text that does not parse
+/// still binds and, like the builtin, reads NULL without parsing the
+/// record. The one walk the binder (which sets each site's
+/// Expr::path_slot through `node`) and the PlanValidator share.
+void VisitPathSites(
+    const PhysicalPlan& plan,
+    const std::function<void(Expr&, PathScope, const std::optional<PathSlot>&)>&
+        fn);
 
 /// Extracts SARG-able conjuncts (`column cmp literal` over plain column
 /// refs) from `where` into the scan's raw or cache SARG. Non-extractable

@@ -274,7 +274,6 @@ std::string_view ArrayElementRaw(std::string_view raw, int64_t want) {
 Result<std::string> MisonParser::ExtractRaw(std::string_view json,
                                             const JsonPath& path) {
   StructuralIndex index(json);
-  ++records_indexed_;
   if (index.malformed()) {
     return Status::ParseError("malformed JSON record");
   }

@@ -91,7 +91,6 @@ class MisonParser {
   /// Speculation telemetry across all Extract calls.
   uint64_t speculation_hits() const { return speculation_hits_; }
   uint64_t speculation_misses() const { return speculation_misses_; }
-  uint64_t records_indexed() const { return records_indexed_; }
 
  private:
   struct SpeculationKey {
@@ -112,7 +111,6 @@ class MisonParser {
   std::unordered_map<SpeculationKey, int64_t, SpeculationKeyHash> pattern_;
   uint64_t speculation_hits_ = 0;
   uint64_t speculation_misses_ = 0;
-  uint64_t records_indexed_ = 0;
 };
 
 /// Renders a raw JSON value span in get_json_object style: quoted strings

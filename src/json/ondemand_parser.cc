@@ -7,65 +7,7 @@
 
 namespace maxson::json {
 
-namespace ondemand_internal {
-
-Status StructuralTape::Build(std::string_view record) {
-  text = record;
-  entries.clear();
-  stack.clear();
-  root_is_container = false;
-  MAXSON_RETURN_NOT_OK(ValidateJson(record));
-
-  const size_t n = record.size();
-  const char root = record[simd::SkipWhitespace(record.data(), n, 0)];
-  if (root != '{' && root != '[') return Status::Ok();  // scalar root
-  root_is_container = true;
-
-  const size_t words = simd::BitmapWords(n);
-  quotes.resize(words);
-  backslashes.resize(words);
-  structurals.resize(words);
-  simd::ClassifyJsonFull(record.data(), n, quotes.data(), backslashes.data(),
-                         structurals.data());
-
-  // Walk the structural positions outside strings in order, linking every
-  // container open to its close. The link is what lets the walk hop over
-  // an entire sibling subtree in one step. The string mask drops escaped
-  // quotes first, threading escape and quote state across bitmap words.
-  // The validator has already proven the containers balanced and the root
-  // the only value, so the root open is the first entry and its close the
-  // last.
-  uint64_t carry = 0;
-  uint64_t parity = 0;
-  for (size_t w = 0; w < words; ++w) {
-    const uint64_t escaped = simd::EscapedPositions(backslashes[w], &carry);
-    uint64_t s = structurals[w] &
-                 ~simd::StringMaskWord(quotes[w] & ~escaped, &parity);
-    while (s != 0) {
-      const size_t pos =
-          w * simd::kWordBits + static_cast<size_t>(__builtin_ctzll(s));
-      s &= s - 1;
-      const char c = record[pos];
-      TapeEntry e{static_cast<uint32_t>(pos), 0, c};
-      if (c == '{' || c == '[') {
-        stack.push_back(static_cast<uint32_t>(entries.size()));
-      } else if (c == '}' || c == ']') {
-        const uint32_t oi = stack.back();
-        stack.pop_back();
-        entries[oi].match = static_cast<uint32_t>(entries.size());
-        e.match = oi;
-      }
-      entries.push_back(e);
-    }
-  }
-  return Status::Ok();
-}
-
-}  // namespace ondemand_internal
-
 namespace {
-
-using ondemand_internal::TapeEntry;
 
 bool IsSpace(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r';
@@ -122,23 +64,65 @@ void OndemandParser::Compile(const std::vector<JsonPath>& paths) {
   found_.assign(trie_.size(), Span{});
 }
 
+Status OndemandParser::BuildTape(std::string_view record) {
+  text_ = record;
+  tape_.clear();
+  open_stack_.clear();
+  root_is_container_ = false;
+  MAXSON_RETURN_NOT_OK(ValidateJson(record));
+
+  const size_t n = record.size();
+  const char root = record[simd::SkipWhitespace(record.data(), n, 0)];
+  if (root != '{' && root != '[') return Status::Ok();  // scalar root
+  root_is_container_ = true;
+
+  const size_t words = simd::BitmapWords(n);
+  quotes_.resize(words);
+  backslashes_.resize(words);
+  structurals_.resize(words);
+  simd::ClassifyJsonFull(record.data(), n, quotes_.data(),
+                         backslashes_.data(), structurals_.data());
+
+  // Walk the structural positions outside strings in order, linking every
+  // container open to its close. The string mask drops escaped quotes
+  // first, threading escape and quote state across bitmap words. The
+  // validator has already proven the containers balanced and the root the
+  // only value, so the root open is the first entry and its close the last.
+  uint64_t carry = 0;
+  uint64_t parity = 0;
+  for (size_t w = 0; w < words; ++w) {
+    const uint64_t escaped = simd::EscapedPositions(backslashes_[w], &carry);
+    uint64_t s = structurals_[w] &
+                 ~simd::StringMaskWord(quotes_[w] & ~escaped, &parity);
+    while (s != 0) {
+      const size_t pos =
+          w * simd::kWordBits + static_cast<size_t>(__builtin_ctzll(s));
+      s &= s - 1;
+      const char c = record[pos];
+      TapeEntry e{static_cast<uint32_t>(pos), 0, c};
+      if (c == '{' || c == '[') {
+        open_stack_.push_back(static_cast<uint32_t>(tape_.size()));
+      } else if (c == '}' || c == ']') {
+        const uint32_t oi = open_stack_.back();
+        open_stack_.pop_back();
+        tape_[oi].match = static_cast<uint32_t>(tape_.size());
+        e.match = oi;
+      }
+      tape_.push_back(e);
+    }
+  }
+  return Status::Ok();
+}
+
 void OndemandParser::Walk(std::string_view record) {
-  const Status built = tape_.Build(record);
+  const Status built = BuildTape(record);
   if (!built.ok()) {
     for (Result<std::string>& r : results_) r = built;
     return;
   }
-  Span root;
-  if (tape_.root_is_container) {
-    ++records_indexed_;
-    root.open = 0;
-    root.begin = tape_.entries[0].pos;
-    root.end = tape_.entries[tape_.entries[0].match].pos + 1;
-  } else {
-    root.begin = 0;
-    root.end = record.size();
-  }
-  Resolve(0, root);
+  if (root_is_container_) ++records_indexed_;
+  Resolve(0, root_is_container_ ? Container(0)
+                                : Span{Span::kAbsent, 0, record.size()});
 }
 
 Result<std::string> OndemandParser::Extract(std::string_view json,
@@ -159,7 +143,7 @@ void OndemandParser::Resolve(uint32_t node, const Span& value) {
   for (const auto& [key, child] : n.fields) found_[child] = Span{};
   for (const auto& [index, child] : n.indexes) found_[child] = Span{};
   const char kind =
-      value.open == Span::kAbsent ? 0 : tape_.entries[value.open].kind;
+      value.open == Span::kAbsent ? 0 : tape_[value.open].kind;
   if (kind == '{' && !n.fields.empty()) MatchMembers(n, value.open);
   if (kind == '[' && !n.indexes.empty()) MatchElements(n, value.open);
   for (const auto& [key, child] : n.fields) Resolve(child, found_[child]);
@@ -172,32 +156,24 @@ void OndemandParser::Resolve(uint32_t node, const Span& value) {
 /// followed by ',' or the object's close, and its key is the string
 /// between the preceding '{' or ',' and its ':'.
 void OndemandParser::MatchMembers(const TrieNode& node, size_t open) {
-  const std::vector<TapeEntry>& es = tape_.entries;
-  const std::string_view text = tape_.text;
+  const std::vector<TapeEntry>& es = tape_;
   const size_t close = es[open].match;
   size_t i = open + 1;
   std::string decoded;
   while (i < close) {
     const size_t key_begin =
-        simd::SkipWhitespace(text.data(), es[i].pos, es[i - 1].pos + 1);
+        simd::SkipWhitespace(text_.data(), es[i].pos, es[i - 1].pos + 1);
     size_t key_end = es[i].pos;  // one past the key's closing quote
-    while (IsSpace(text[key_end - 1])) --key_end;
-    Span value;
-    size_t next;
-    if (es[i + 1].kind == '{' || es[i + 1].kind == '[') {
-      value.open = i + 1;
-      value.begin = es[i + 1].pos;
-      value.end = es[es[i + 1].match].pos + 1;
-      next = es[i + 1].match + 1;
-    } else {
-      value.begin = es[i].pos + 1;
-      value.end = es[i + 1].pos;
-      next = i + 1;
-    }
+    while (IsSpace(text_[key_end - 1])) --key_end;
+    const bool nested = es[i + 1].kind == '{' || es[i + 1].kind == '[';
+    const Span value =
+        nested ? Container(i + 1)
+               : Span{Span::kAbsent, es[i].pos + 1, es[i + 1].pos};
+    const size_t next = nested ? es[i + 1].match + 1 : i + 1;
     std::string_view key =
-        text.substr(key_begin + 1, key_end - key_begin - 2);
+        text_.substr(key_begin + 1, key_end - key_begin - 2);
     if (key.find('\\') != std::string_view::npos) {
-      decoded = ParseJson(text.substr(key_begin, key_end - key_begin))
+      decoded = ParseJson(text_.substr(key_begin, key_end - key_begin))
                     ->string_value();
       key = decoded;
     }
@@ -217,29 +193,21 @@ void OndemandParser::MatchMembers(const TrieNode& node, size_t open) {
 /// largest requested index. Elements of a validated record are separated
 /// by exactly one ','.
 void OndemandParser::MatchElements(const TrieNode& node, size_t open) {
-  const std::vector<TapeEntry>& es = tape_.entries;
+  const std::vector<TapeEntry>& es = tape_;
   const size_t close = es[open].match;
   size_t i = open + 1;
   size_t elem_begin = es[open].pos + 1;
   size_t want = 0;
   for (int64_t idx = 0; want < node.indexes.size(); ++idx) {
-    Span value;
-    size_t sep;
-    if (i < close && (es[i].kind == '{' || es[i].kind == '[')) {
-      value.open = i;
-      value.begin = es[i].pos;
-      value.end = es[es[i].match].pos + 1;
-      sep = es[i].match + 1;
-    } else {
-      value.begin = elem_begin;
-      value.end = es[i].pos;
-      sep = i;
-      // A sole "element" that is all whitespace is an empty array.
-      if (idx == 0 && sep == close &&
-          simd::SkipWhitespace(tape_.text.data(), value.end, value.begin) >=
-              value.end) {
-        return;
-      }
+    const bool nested = i < close && (es[i].kind == '{' || es[i].kind == '[');
+    const Span value =
+        nested ? Container(i) : Span{Span::kAbsent, elem_begin, es[i].pos};
+    const size_t sep = nested ? es[i].match + 1 : i;
+    // A sole "element" that is all whitespace is an empty array.
+    if (!nested && idx == 0 && sep == close &&
+        simd::SkipWhitespace(text_.data(), value.end, value.begin) >=
+            value.end) {
+      return;
     }
     if (node.indexes[want].first == idx) {
       found_[node.indexes[want++].second] = value;
@@ -253,13 +221,12 @@ void OndemandParser::MatchElements(const TrieNode& node, size_t open) {
 /// The get_json_object rendering of `value`; NotFound-free by
 /// construction (an unmatched value never reaches here).
 Result<std::string> OndemandParser::Render(const Span& value) const {
-  const std::string_view text = tape_.text;
   size_t begin = value.begin;
   size_t end = value.end;
   if (value.open == Span::kAbsent) {
-    begin = simd::SkipWhitespace(text.data(), end, begin);
-    while (IsSpace(text[end - 1])) --end;
-    const std::string_view raw = text.substr(begin, end - begin);
+    begin = simd::SkipWhitespace(text_.data(), end, begin);
+    while (IsSpace(text_[end - 1])) --end;
+    const std::string_view raw = text_.substr(begin, end - begin);
     if (raw[0] == '"') {
       const std::string_view inner = raw.substr(1, raw.size() - 2);
       if (inner.find('\\') == std::string_view::npos) {
@@ -271,7 +238,7 @@ Result<std::string> OndemandParser::Render(const Span& value) const {
     }
   }
   MAXSON_ASSIGN_OR_RETURN(const JsonValue parsed,
-                          ParseJson(text.substr(begin, end - begin)));
+                          ParseJson(text_.substr(begin, end - begin)));
   return RenderGetJsonObjectResult(parsed);
 }
 

@@ -9,18 +9,17 @@
 
 #include "common/result.h"
 #include "json/json_path.h"
-#include "json/ondemand_tape.h"
 
 namespace maxson::json {
 
 /// Forward-only, lazily-materializing JSON parser in the spirit of
 /// On-Demand (Keiser & Lemire), extended from one path to a trie of paths:
 /// one SIMD classification pass (simd::ClassifyJsonFull) builds a
-/// per-record tape of structural positions, and one forward walk over the
-/// tape resolves every compiled path. The walk visits each object level
-/// once, matching member keys against the trie's children, and hops over
-/// every subtree no path descends into via the tape's open/close links.
-/// This is the engine's default uncached extraction tier.
+/// per-record tape of structural positions, each container open linked to
+/// its close, and one forward walk over the tape resolves every compiled
+/// path. The walk visits each object level once, matching member keys
+/// against the trie's children, and hops over every subtree no path
+/// descends into. This is the engine's default uncached extraction tier.
 ///
 /// Contract vs the DOM baseline (json::GetJsonObject): result i is exactly
 /// what GetJsonObject returns for the same record and path i — the same
@@ -28,9 +27,10 @@ namespace maxson::json {
 /// message for a missing path.
 ///   - Validation: every tape build first runs json::ValidateJson, which is
 ///     the DOM parser's own grammar with a sink that builds nothing. A
-///     record is walked only if the DOM would accept it; any other record
-///     returns the DOM's ParseError for every path, including garbage
-///     inside subtrees the walk skips.
+///     record is walked only if the DOM would accept it, so the walk needs
+///     no error checks of its own; any other record returns the DOM's
+///     ParseError for every path, including garbage inside subtrees the
+///     walk skips.
 ///   - Rendering: a value is returned as its raw bytes when those are
 ///     byte-identical to the DOM's rendering (an unescaped string's
 ///     contents, true/false/null, an integer without sign-zero or leading
@@ -68,6 +68,14 @@ class OndemandParser {
     size_t begin = kAbsent;
     size_t end = 0;
   };
+  /// One structural position outside any string literal: ':' ',' '{' '}'
+  /// '[' ']'. A container entry carries its partner's tape index, which is
+  /// what lets the walk hop over a sibling subtree in one step.
+  struct TapeEntry {
+    uint32_t pos;    // byte offset in the record
+    uint32_t match;  // open<->close partner tape index; unused for ':' ','
+    char kind;       // the structural character itself
+  };
   struct TrieNode {
     std::vector<std::pair<std::string, uint32_t>> fields;  // sorted by key
     std::vector<std::pair<int64_t, uint32_t>> indexes;     // ascending
@@ -75,6 +83,13 @@ class OndemandParser {
   };
 
   void Compile(const std::vector<JsonPath>& paths);
+  /// Validates `record` and, when its root is a container, rebuilds the
+  /// tape over it; a rejected record returns the DOM's own ParseError.
+  Status BuildTape(std::string_view record);
+  /// The span of the container whose open entry is tape_[open].
+  Span Container(size_t open) const {
+    return Span{open, tape_[open].pos, tape_[tape_[open].match].pos + 1};
+  }
   void Resolve(uint32_t node, const Span& value);
   void MatchMembers(const TrieNode& node, size_t open);
   void MatchElements(const TrieNode& node, size_t open);
@@ -84,7 +99,14 @@ class OndemandParser {
   std::vector<Span> found_;           // per trie node, for the current level
   std::vector<Status> not_found_;     // per path: GetJsonObject's NotFound
   std::vector<Result<std::string>> results_;
-  ondemand_internal::StructuralTape tape_;
+  // Per-record scratch, refilled by BuildTape so capacity amortizes.
+  std::string_view text_;
+  std::vector<uint64_t> quotes_;  // simd::ClassifyJsonFull bitmaps
+  std::vector<uint64_t> backslashes_;
+  std::vector<uint64_t> structurals_;
+  std::vector<TapeEntry> tape_;
+  std::vector<uint32_t> open_stack_;
+  bool root_is_container_ = false;  // false: scalar root, tape unused
   uint64_t records_indexed_ = 0;
   uint64_t skipped_bytes_ = 0;
 };

@@ -120,6 +120,8 @@ TEST_F(RawFilterEngineTest, ResultsIdenticalWithAndWithoutPrefilter) {
       "AND id < 500",
       "SELECT COUNT(*) FROM db.t WHERE "
       "get_json_object(payload, '$.f1') = 'absent_value'",
+      // Over an int column: the prefilter only reads string columns.
+      "SELECT id FROM db.t WHERE get_json_object(id, '$') = '1234'",
   };
   for (const char* sql : queries) {
     auto a = off.Execute(sql);

@@ -34,11 +34,6 @@ Encodes the project-specific invariants that generic tooling cannot know
                        under src/simd/ — everything else calls the dispatched
                        kernels so one layer owns ISA-specific code and the
                        byte-identical-across-levels contract stays auditable.
-  ondemand-tape        json/ondemand_tape.h (the on-demand tier's structural
-                       tape internals) may be included only from src/json/ —
-                       every other layer consumes the tier through the
-                       json/ondemand_parser.h API, so the tape layout can
-                       change without rippling past its owning directory.
   exec-layering        src/exec/ is the scheduling layer *below* parsing and
                        execution: it must not include engine/json/xml/core/
                        serve/catalog/ml/workload/simd headers nor name the
@@ -131,8 +126,6 @@ COUNTER_WRITE_RE = re.compile(r"\bGetCounter\s*\(")
 SIMD_INTRINSICS_RE = re.compile(
     r"#\s*include\s+<(?:[a-z0-9]*mmintrin\.h|x86intrin\.h|arm_neon\.h)>"
     r"|__builtin_cpu_supports\b")
-ONDEMAND_TAPE_INCLUDE_RE = re.compile(
-    r'#\s*include\s+"json/ondemand_tape\.h"')
 EXEC_BANNED_INCLUDE_RE = re.compile(
     r'#\s*include\s+"(?:engine|json|xml|core|serve|catalog|ml|workload|simd)/')
 EXEC_BANNED_IDENT_RE = re.compile(
@@ -644,17 +637,6 @@ def check_simd_intrinsics(root, rel, lines, out):
                 "call the dispatched kernels from simd/kernels.h instead"))
 
 
-def check_ondemand_tape(root, rel, lines, out):
-    if rel.startswith("src/json/"):
-        return
-    for i, line in enumerate(lines, 1):
-        if ONDEMAND_TAPE_INCLUDE_RE.search(strip_line_comment(line)):
-            out.append(Violation(
-                "ondemand-tape", rel, i,
-                "json/ondemand_tape.h is internal to src/json/ — consume "
-                "the on-demand tier through json/ondemand_parser.h instead"))
-
-
 def check_exec_layering(root, rel, lines, out):
     if not rel.startswith("src/exec/"):
         return
@@ -832,7 +814,6 @@ def run_lint(root, fix=False):
         check_wall_clock(root, rel, lines, violations)
         check_counter_write(root, rel, lines, violations)
         check_simd_intrinsics(root, rel, lines, violations)
-        check_ondemand_tape(root, rel, lines, violations)
         check_exec_layering(root, rel, lines, violations)
         check_include_hygiene(root, rel, lines, violations)
         check_nodiscard_guard(root, rel, lines, violations)
@@ -866,9 +847,6 @@ SELF_TEST_FILES = (
     ("simd-intrinsics", "src/engine/bad_intrinsics.cc",
      '#include "engine/bad_intrinsics.h"\n'
      "#include <immintrin.h>\n"),
-    ("ondemand-tape", "src/engine/bad_tape.cc",
-     '#include "engine/bad_tape.h"\n'
-     '#include "json/ondemand_tape.h"\n'),
     # Two exec-layering seeds pin both detection paths: the include ban and
     # the entry-point-identifier ban.
     ("exec-layering", "src/exec/bad_include.cc",
@@ -989,7 +967,7 @@ def self_test():
             if rule in fixed_left:
                 failures.append(f"--fix did not repair {rule}")
         for rule in ("thread-create", "wall-clock", "counter-write",
-                     "simd-intrinsics", "ondemand-tape", "exec-layering",
+                     "simd-intrinsics", "exec-layering",
                      "lock-order", "mutex-annotation", "status-discard",
                      "metric-name"):
             if rule not in fixed_left:
